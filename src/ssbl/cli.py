@@ -20,9 +20,9 @@ import numpy as np
 from . import spatial_features
 from .config import (ConfigError, FullConfig, config_hash, config_to_dict,
                      default_config, load_config)
-from .metrics import aggregate_stats, episode_stats, run_compare
-from .policies import make_policy, save_checkpoint
-from .trajlog import make_header, transition_to_record, write_trajectory
+from .metrics import aggregate_stats, live_stats, run_compare
+from .policies import check_input_width, make_policy, save_checkpoint
+from .trajlog import make_header, write_trajectory
 from .training import make_env, rollout, train
 
 log = logging.getLogger("ssbl")
@@ -45,6 +45,11 @@ def _threads() -> int:
         raise ConfigError(f"SSBL_THREADS must be an integer, got {raw!r}") from e
 
 
+def _check_episodes(n: int) -> None:
+    if n < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {n}")
+
+
 def _simulate_episode(cfg_dict: dict, policy_spec: str, master_seed: int,
                       index: int, out_file: str) -> dict:
     from .config import config_from_dict
@@ -52,6 +57,7 @@ def _simulate_episode(cfg_dict: dict, policy_spec: str, master_seed: int,
     cfg = config_from_dict(cfg_dict)
     env = make_env(cfg)
     policy = make_policy(policy_spec)
+    check_input_width(policy, cfg.episode.spawn.n_shas)
     seed = [int(master_seed), index]
     result = rollout(env, policy, seed, record=True)
     header = make_header(config_hash(cfg), seed, result.initial_agents)
@@ -63,6 +69,7 @@ def _simulate_episode(cfg_dict: dict, policy_spec: str, master_seed: int,
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
+    _check_episodes(args.episodes)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg_dict = config_to_dict(cfg)
@@ -75,7 +82,7 @@ def cmd_simulate(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(_simulate_worker, jobs))
+            entries = list(pool.map(_simulate_episode, *zip(*jobs)))
     else:
         entries = [_simulate_episode(*job) for job in jobs]
 
@@ -91,10 +98,6 @@ def cmd_simulate(args) -> int:
         fh.write("\n")
     print(f"wrote {len(entries)} episodes to {out_dir}")
     return EXIT_OK
-
-
-def _simulate_worker(job):
-    return _simulate_episode(*job)
 
 
 def cmd_train(args) -> int:
@@ -125,17 +128,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    env = make_env(cfg)
+    _check_episodes(args.episodes)
     policy = make_policy(args.policy)
-    stats = []
-    for i in range(args.episodes):
-        seed = [int(args.seed), i]
-        result = rollout(env, policy, seed, record=True)
-        agents = [{"id": a.id, "role": a.role.value, "x": a.position.x,
-                   "y": a.position.y, "vx": a.velocity.x, "vy": a.velocity.y,
-                   "theta": a.heading} for a in result.initial_agents]
-        records = [transition_to_record(tr) for tr in result.transitions]
-        stats.append(episode_stats(agents, records, cfg.proxemics))
+    check_input_width(policy, cfg.episode.spawn.n_shas)
+    seeds = [[int(args.seed), i] for i in range(args.episodes)]
+    stats = live_stats(make_env(cfg), policy, seeds, cfg.proxemics)
 
     doc = {
         "policy": args.policy,
@@ -157,6 +154,7 @@ def cmd_eval(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_cfg(args)
+    _check_episodes(args.episodes)
     report = run_compare(args.policy_a, args.policy_b, args.episodes, cfg,
                          int(args.seed), args.out)
     for name, pct in report.relative_percent.items():

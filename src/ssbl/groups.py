@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import OSpace, combined_force
+from .forces import ForceBreakdown, OSpace, combined_force
 from .geometry import (EPS_DIR, AgentState, ProxemicsConfig, Role, Vec2,
                        WorldConfig, wrap_angle)
 
@@ -54,14 +54,25 @@ class ShaGains:
 DEFAULT_GAINS = ShaGains()
 
 
+def field_turn(bd: ForceBreakdown, heading: float, gains: ShaGains,
+               limit: float) -> float:
+    """Turn command toward the blend of the normalized social and public
+    orientation vectors, clipped to [-limit, limit]; 0 (hold heading) when
+    the blend vanishes."""
+    blend = gains.w_de * bd.d_e.normalized() + gains.w_dc * bd.d_c.normalized()
+    if blend.norm() <= EPS_DIR:
+        return 0.0
+    err = wrap_angle(blend.heading() - heading)
+    return max(-limit, min(limit, gains.k_turn * err))
+
+
 def sha_policy(sha: AgentState, all_agents: list[AgentState],
                prox: ProxemicsConfig, ospace: OSpace, world: WorldConfig,
                gains: ShaGains = DEFAULT_GAINS) -> tuple[Vec2, float]:
     """Acceleration and turn rate for one SHA under the conversation field.
 
-    Acceleration follows the combined force (deadbanded, clipped to a_max).
-    The agent turns toward the blend of its normalized social and public
-    orientation vectors; when both vanish it holds heading.
+    Acceleration follows the combined force (deadbanded, clipped to a_max);
+    the turn rate is `field_turn` clipped to omega_max.
     """
     if sha.role is not Role.SHA:
         raise ValueError(f"sha_policy called for non-SHA agent {sha.id}")
@@ -77,14 +88,7 @@ def sha_policy(sha: AgentState, all_agents: list[AgentState],
         anorm = accel.norm()
         if anorm > world.a_max:
             accel = accel * (world.a_max / anorm)
-
-    blend = gains.w_de * bd.d_e.normalized() + gains.w_dc * bd.d_c.normalized()
-    if blend.norm() <= EPS_DIR:
-        turn = 0.0
-    else:
-        err = wrap_angle(blend.heading() - sha.heading)
-        turn = max(-world.omega_max, min(world.omega_max, gains.k_turn * err))
-    return accel, turn
+    return accel, field_turn(bd, sha.heading, gains, world.omega_max)
 
 
 def _ray_to_wall(origin: Vec2, angle: float, side: float) -> float:

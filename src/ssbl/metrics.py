@@ -4,6 +4,7 @@ paired baseline-vs-policy comparison."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,13 +14,9 @@ import numpy as np
 from .config import FullConfig, config_hash
 from .forces import estimate_ospace
 from .geometry import AgentState, ProxemicsConfig, Role, Vec2
-from .policies import RandomPolicy, SffmPolicy, make_policy
-from .trajlog import read_trajectory, transition_to_record
+from .policies import RandomPolicy, SffmPolicy, check_input_width, make_policy
+from .trajlog import agent_to_obj, read_trajectory, transition_to_record
 from .training import make_env, relative_performance, rollout
-
-METRIC_FIELDS = ("success_rate", "mean_return", "time_to_join", "path_length",
-                 "personal_violation_steps", "sha_total_displacement",
-                 "final_formation_error")
 
 
 @dataclass(slots=True)
@@ -36,7 +33,7 @@ class SocialMetrics:
     final_formation_error: float
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_FIELDS}
+        return dataclasses.asdict(self)
 
 
 def _agent_pos(obj: dict) -> Vec2:
@@ -89,6 +86,9 @@ def episode_stats(initial_agents: list[dict], records: list[dict],
 
 
 def aggregate_stats(stats: list[dict]) -> SocialMetrics:
+    if not stats:
+        raise ValueError("no episodes to aggregate")
+
     def mean(key):
         return float(np.mean([s[key] for s in stats]))
 
@@ -113,6 +113,22 @@ def compute_metrics(paths: list[str | Path],
     return aggregate_stats(stats)
 
 
+def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
+    """episode_stats of a recorded rollout per seed, scored in memory from
+    the records a trajectory file would hold."""
+    stats = []
+    for seed in seeds:
+        res = rollout(env, policy, seed, record=True)
+        agents = [agent_to_obj(a) for a in res.initial_agents]
+        records = [transition_to_record(tr) for tr in res.transitions]
+        stats.append(episode_stats(agents, records, prox))
+    return stats
+
+
+def _mean_return(stats: list[dict]) -> float:
+    return float(np.mean([s["return"] for s in stats]))
+
+
 # -- paired comparison ---------------------------------------------------------
 
 
@@ -128,30 +144,7 @@ class CompareReport:
     episodes: int
 
     def to_dict(self) -> dict:
-        return {
-            "policy_a": self.policy_a,
-            "policy_b": self.policy_b,
-            "metrics": self.metrics,
-            "relative_percent": self.relative_percent,
-            "paired_deltas": self.paired_deltas,
-            "config_hash": self.config_hash,
-            "master_seed": self.master_seed,
-            "episodes": self.episodes,
-        }
-
-
-def _evaluate_spec(env, policy, seeds, prox) -> tuple[list[dict], float]:
-    stats = []
-    for seed in seeds:
-        res = rollout(env, policy, seed, record=True)
-        header_agents = [  # same shape the trajectory header uses
-            {"id": a.id, "role": a.role.value, "x": a.position.x,
-             "y": a.position.y, "vx": a.velocity.x, "vy": a.velocity.y,
-             "theta": a.heading}
-            for a in res.initial_agents]
-        records = [transition_to_record(tr) for tr in res.transitions]
-        stats.append(episode_stats(header_agents, records, prox))
-    return stats, float(np.mean([s["return"] for s in stats]))
+        return dataclasses.asdict(self)
 
 
 def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
@@ -165,24 +158,25 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
     prox = cfg.proxemics
     seeds = [[int(master_seed), i] for i in range(episodes)]
 
-    evaluated: dict[str, tuple[list[dict], float]] = {}
+    evaluated: dict[str, list[dict]] = {}
     for spec in (policy_a, policy_b):
         if spec not in evaluated:
-            evaluated[spec] = _evaluate_spec(env, make_policy(spec), seeds, prox)
+            policy = make_policy(spec)
+            check_input_width(policy, cfg.episode.spawn.n_shas)
+            evaluated[spec] = live_stats(env, policy, seeds, prox)
 
     anchors = {}
     for name, policy in (("sffm", SffmPolicy()), ("random", RandomPolicy())):
         if name in evaluated:
-            anchors[name] = evaluated[name][1]
+            anchors[name] = _mean_return(evaluated[name])
         else:
-            anchors[name] = _evaluate_spec(env, policy, seeds, prox)[1]
+            anchors[name] = _mean_return(live_stats(env, policy, seeds, prox))
 
-    stats_a, ret_a = evaluated[policy_a]
-    stats_b, ret_b = evaluated[policy_b]
-    rel = {
-        policy_a: relative_performance(ret_a, anchors["sffm"], anchors["random"]),
-        policy_b: relative_performance(ret_b, anchors["sffm"], anchors["random"]),
-    }
+    stats_a = evaluated[policy_a]
+    stats_b = evaluated[policy_b]
+    rel = {spec: relative_performance(_mean_return(evaluated[spec]),
+                                      anchors["sffm"], anchors["random"])
+           for spec in (policy_a, policy_b)}
 
     deltas = []
     for i, (sa, sb) in enumerate(zip(stats_a, stats_b)):

@@ -2,7 +2,8 @@
 uniform-random reference, plus checkpoint I/O.
 
 Network parameters are canonically float32 (that is what checkpoints store);
-forward passes run in float64 on cached upcast weights.
+forward passes run in float64 on cached upcast weights. `mlp_forward` is the
+one tanh MLP: the policy and the trainers both run it.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import Action, ApproachEnv
+from .config import ConfigError
+from .env import Action, ApproachEnv, observation_length
 from .forces import ForceBreakdown, combined_force
-from .geometry import AgentState, wrap_angle
+from .geometry import AgentState
+from .groups import DEFAULT_GAINS, ShaGains, field_turn
 
 # Inputs are meters / meters-per-second on a ~10 m floor; this keeps the
 # first-layer preactivations in the responsive range of tanh.
@@ -28,6 +31,36 @@ ACTIVATION = "tanh"
 def param_count(layer_sizes: tuple[int, ...]) -> int:
     return sum((din + 1) * dout
                for din, dout in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def unpack_layers(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(W, b) views into a flat vector laid out per layer as W row-major,
+    then b."""
+    layers = []
+    i = 0
+    for din, dout in zip(layer_sizes[:-1], layer_sizes[1:]):
+        w = flat[i:i + din * dout].reshape(dout, din)
+        i += din * dout
+        layers.append((w, flat[i:i + dout]))
+        i += dout
+    return layers
+
+
+def _run_layers(layers, X: np.ndarray, squash_output: bool = True):
+    acts = [X]
+    h = X
+    last = len(layers) - 1
+    for li, (w, b) in enumerate(layers):
+        z = h @ w.T + b
+        h = np.tanh(z) if (li < last or squash_output) else z
+        acts.append(h)
+    return h, acts
+
+
+def mlp_forward(flat: np.ndarray, layer_sizes, X: np.ndarray,
+                squash_output: bool = True):
+    """Batched tanh MLP. Returns (output, activation cache)."""
+    return _run_layers(unpack_layers(flat, layer_sizes), X, squash_output)
 
 
 @dataclass(slots=True, eq=False)
@@ -56,15 +89,8 @@ class PolicyParams:
     def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(W, b) pairs upcast to float64, cached per params object."""
         if self._layers is None:
-            self._layers = []
-            flat = self.flat_params.astype(np.float64)
-            i = 0
-            for din, dout in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-                w = flat[i:i + din * dout].reshape(dout, din)
-                i += din * dout
-                b = flat[i:i + dout]
-                i += dout
-                self._layers.append((w, b))
+            self._layers = unpack_layers(self.flat_params.astype(np.float64),
+                                         self.layer_sizes)
         return self._layers
 
 
@@ -81,10 +107,7 @@ def policy_forward(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
             f"observation length {obs.shape} does not match input layer "
             f"{params.layer_sizes[0]}"
         )
-    x = obs * OBS_SCALE
-    for w, b in params.layers():
-        x = np.tanh(w @ x + b)
-    return x
+    return _run_layers(params.layers(), obs * OBS_SCALE)[0]
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -106,16 +129,16 @@ def save_checkpoint(params: PolicyParams, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:
-    from .config import ConfigError
-
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"invalid checkpoint {path}: not a JSON object")
     try:
         raw = base64.b64decode(doc["params_b64"])
         flat = np.frombuffer(raw, dtype="<f4").copy()
         params = PolicyParams(tuple(doc["layer_sizes"]), flat,
                               activation=doc.get("activation", ACTIVATION))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid checkpoint {path}: {e}") from e
     meta = {"config_hash": doc.get("config_hash", ""), "seed": doc.get("seed", 0)}
     return params, meta
@@ -124,29 +147,14 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:
 # -- the three policy kinds --------------------------------------------------
 
 
-@dataclass(slots=True)
-class BaselineGains:
-    gain_f: float = 1.0
-    k_turn: float = 2.0
-    w_de: float = 0.5
-    w_dc: float = 0.5
-
-
 def sffm_baseline_policy(robot: AgentState, breakdown: ForceBreakdown,
-                         gains: BaselineGains = BaselineGains()) -> Action:
+                         gains: ShaGains = DEFAULT_GAINS) -> Action:
     """Robot directly controlled by the conversation field: thrust along the
-    heading proportional to the force component, turn toward the blend of the
-    orientation vectors."""
+    heading proportional to the force component, turn as an SHA would, with
+    the turn command clipped to [-1, 1]. The SHA force deadband is unused."""
     f = breakdown.combined
     a_fwd = max(-1.0, min(1.0, gains.gain_f * f.dot(robot.heading_unit())))
-    blend = (gains.w_de * breakdown.d_e.normalized()
-             + gains.w_dc * breakdown.d_c.normalized())
-    if blend.norm() <= 1e-9:
-        a_turn = 0.0
-    else:
-        err = wrap_angle(blend.heading() - robot.heading)
-        a_turn = max(-1.0, min(1.0, gains.k_turn * err))
-    return Action(a_fwd, a_turn)
+    return Action(a_fwd, field_turn(breakdown, robot.heading, gains, 1.0))
 
 
 class NetworkPolicy:
@@ -164,10 +172,8 @@ class NetworkPolicy:
 
 
 class SffmPolicy:
-    """The force-field baseline, recomputing the robot's field each tick."""
-
-    def __init__(self, gains: BaselineGains | None = None):
-        self.gains = gains if gains is not None else BaselineGains()
+    """The force-field baseline, recomputing the robot's field each tick. It
+    always uses the default controller gains, whatever the SHAs use."""
 
     def begin_episode(self, seed) -> None:
         pass
@@ -175,7 +181,7 @@ class SffmPolicy:
     def act(self, obs: np.ndarray, env: ApproachEnv) -> Action:
         robot = env.robot
         bd = combined_force(robot, env.shas, env.prox, env.ospace)
-        return sffm_baseline_policy(robot, bd, self.gains)
+        return sffm_baseline_policy(robot, bd)
 
 
 RANDOM_POLICY_STREAM = 0x5EED
@@ -204,3 +210,15 @@ def make_policy(spec: str):
         return RandomPolicy()
     params, _ = load_checkpoint(spec)
     return NetworkPolicy(params)
+
+
+def check_input_width(policy, n_shas: int) -> None:
+    """Raise ConfigError when a network policy's input layer does not take
+    the observations of an episode with n_shas SHAs."""
+    if isinstance(policy, NetworkPolicy):
+        width = policy.params.layer_sizes[0]
+        if width != observation_length(n_shas):
+            raise ConfigError(
+                f"checkpoint input width {width} does not match the "
+                f"{observation_length(n_shas)}-value observation of "
+                f"n_shas={n_shas}")

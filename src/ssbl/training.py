@@ -17,6 +17,7 @@ and exploration never share randomness:
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import time
@@ -28,7 +29,7 @@ from .config import FullConfig, TrainConfig
 from .env import Action, ApproachEnv, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
 from .policies import (OBS_SCALE, NetworkPolicy, PolicyParams, RandomPolicy,
-                       SffmPolicy, param_count)
+                       SffmPolicy, mlp_forward, param_count, unpack_layers)
 
 log = logging.getLogger(__name__)
 
@@ -121,19 +122,7 @@ class TrainReport:
     curve_nondecreasing_frac: float
 
     def to_dict(self) -> dict:
-        return {
-            "algo": self.algo,
-            "master_seed": self.master_seed,
-            "layer_sizes": self.layer_sizes,
-            "iterations": self.iterations,
-            "final_return": self.final_return,
-            "baseline_return": self.baseline_return,
-            "random_return": self.random_return,
-            "relative_percent": self.relative_percent,
-            "eval_episodes": self.eval_episodes,
-            "wall_clock_s": self.wall_clock_s,
-            "curve_nondecreasing_frac": self.curve_nondecreasing_frac,
-        }
+        return dataclasses.asdict(self)
 
 
 def _nondecreasing_frac(xs: list[float]) -> float:
@@ -291,32 +280,7 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     return params, report
 
 
-# -- MLP forward/backward for PPO ----------------------------------------------
-
-
-def unpack_layers(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
-    layers = []
-    i = 0
-    for din, dout in zip(layer_sizes[:-1], layer_sizes[1:]):
-        w = flat[i:i + din * dout].reshape(dout, din)
-        i += din * dout
-        layers.append((w, flat[i:i + dout]))
-        i += dout
-    return layers
-
-
-def mlp_forward(flat: np.ndarray, layer_sizes, X: np.ndarray,
-                squash_output: bool = True):
-    """Batched tanh MLP. Returns (output, activation cache)."""
-    layers = unpack_layers(flat, layer_sizes)
-    acts = [X]
-    h = X
-    last = len(layers) - 1
-    for li, (w, b) in enumerate(layers):
-        z = h @ w.T + b
-        h = np.tanh(z) if (li < last or squash_output) else z
-        acts.append(h)
-    return h, acts
+# -- MLP backward for distillation and PPO ------------------------------------
 
 
 def mlp_backward(flat: np.ndarray, layer_sizes, acts, dout: np.ndarray,

@@ -24,12 +24,11 @@ from ssbl.forces import (cohesion_force, equality_force,
                          partition_neighbors, repulsion_force)
 from ssbl.geometry import AgentState, ProxemicsConfig, Role, Vec2
 from ssbl.groups import GroupSpawnSpec, spawn_episode
-from ssbl.metrics import aggregate_stats, episode_stats
+from ssbl.metrics import aggregate_stats, live_stats
 from ssbl.policies import NetworkPolicy, RandomPolicy, SffmPolicy
 from ssbl.rewards import group_forming_increment
 from ssbl.spatial_features import (expected_coordinates, gradient_check, presence,
                        spatial_softmax)
-from ssbl.trajlog import transition_to_record
 from ssbl.training import (Adam, eval_seeds, gaussian_logp, make_env,
                            mlp_forward, ppo_gradient_check,
                            ppo_policy_gradient, relative_performance, rollout,
@@ -46,18 +45,6 @@ def _pass(name):
 def sha(i, x, y):
     return AgentState(id=i, role=Role.SHA, position=Vec2(x, y),
                       velocity=Vec2(0.0, 0.0), heading=0.0)
-
-
-def _stats(env, policy, seeds, prox):
-    out = []
-    for seed in seeds:
-        res = rollout(env, policy, seed, record=True)
-        agents = [{"id": a.id, "role": a.role.value, "x": a.position.x,
-                   "y": a.position.y, "vx": a.velocity.x, "vy": a.velocity.y,
-                   "theta": a.heading} for a in res.initial_agents]
-        records = [transition_to_record(tr) for tr in res.transitions]
-        out.append(episode_stats(agents, records, prox))
-    return out
 
 
 # -- criterion 1: reference-score normalization ---------------------------------
@@ -302,9 +289,10 @@ def test_c08_cem_training_standard_config():
 
     env = make_env(cfg)
     seeds = eval_seeds(cfg.train.master_seed, cfg.train.eval_episodes)
-    learned = aggregate_stats(_stats(env, NetworkPolicy(params), seeds,
-                                     cfg.proxemics))
-    baseline = aggregate_stats(_stats(env, SffmPolicy(), seeds, cfg.proxemics))
+    learned = aggregate_stats(live_stats(env, NetworkPolicy(params), seeds,
+                                         cfg.proxemics))
+    baseline = aggregate_stats(live_stats(env, SffmPolicy(), seeds,
+                                          cfg.proxemics))
     assert learned.personal_violation_steps <= baseline.personal_violation_steps, (
         f"learned violates personal space more than the baseline "
         f"({learned.personal_violation_steps:.2f} vs "

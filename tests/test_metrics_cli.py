@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
                          load_config, save_config, config_hash, ConfigError)
 from ssbl.geometry import ProxemicsConfig
-from ssbl.metrics import compute_metrics, run_compare
+from ssbl.metrics import aggregate_stats, compute_metrics, run_compare
 from ssbl.policies import load_checkpoint, save_checkpoint, zero_params
 from ssbl.trajlog import TrajectoryFormatError, read_trajectory
 
@@ -117,6 +118,50 @@ def test_simulate_parallel_matches_sequential(tmp_path, monkeypatch):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+_POLICY_ARGS = {"simulate": ["--policy", "random"],
+                "eval": ["--policy", "sffm"],
+                "compare": ["--policy-a", "sffm", "--policy-b", "random"]}
+
+
+@pytest.mark.parametrize("episodes", ["0", "-2"])
+@pytest.mark.parametrize("command", sorted(_POLICY_ARGS))
+def test_nonpositive_episodes_exit_2(tmp_path, capsys, command, episodes):
+    out = tmp_path / "out"
+    rc = main([command, *_POLICY_ARGS[command], "--episodes", episodes,
+               "--out", str(out)])
+    assert rc == 2
+    assert "error: --episodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_checkpoint_not_an_object_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "list.json"
+    ckpt.write_text("[1, 2]")
+    rc = main(["eval", "--policy", str(ckpt), "--episodes", "1"])
+    assert rc == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_POLICY_ARGS))
+def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command):
+    cfg = default_config()
+    cfg.episode.spawn.n_shas = 3
+    cfg_path = tmp_path / "three_shas.json"
+    save_config(cfg, cfg_path)
+    ckpt = tmp_path / "two_shas.json"
+    save_checkpoint(zero_params((22, 4, 2)), ckpt)
+    policy = {"simulate": ["--policy", str(ckpt)],
+              "eval": ["--policy", str(ckpt)],
+              "compare": ["--policy-a", "sffm", "--policy-b", str(ckpt)]}
+    out = tmp_path / "out"
+    rc = main([command, *policy[command], "--config", str(cfg_path),
+               "--episodes", "1", "--out", str(out)])
+    assert rc == 2
+    assert "input width 22" in capsys.readouterr().err
+    assert not out.is_file()
+    assert not (out.is_dir() and any(out.iterdir()))
+
+
 # -- train CLI ----------------------------------------------------------------------
 
 
@@ -164,6 +209,13 @@ def test_metrics_on_isolated_zero_policy(tmp_path):
     # recomputing from the same files is bit-identical
     again = compute_metrics(files, ProxemicsConfig())
     assert metrics.to_dict() == again.to_dict()
+
+
+def test_metrics_of_no_episodes_raise():
+    with pytest.raises(ValueError, match="no episodes to aggregate"):
+        aggregate_stats([])
+    with pytest.raises(ValueError, match="no episodes to aggregate"):
+        compute_metrics([], ProxemicsConfig())
 
 
 def test_malformed_trajectory_reports_line_number(tmp_path):
@@ -227,6 +279,15 @@ def test_eval_cli_writes_metrics(tmp_path):
     assert doc["episodes"] == 2
     assert "success_rate" in doc["metrics"]
     assert len(doc["per_episode"]) == 2
+    # the same policy and seeds in a comparison give the same episode stats
+    run_compare("sffm", "random", 2, default_config().validate(), 4,
+                tmp_path / "cmp")
+    with open(tmp_path / "cmp" / "compare.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["policy"] == "sffm"]
+    assert len(rows) == 2
+    for row, stats in zip(rows, doc["per_episode"]):
+        for key, value in stats.items():
+            assert float(row[key]) == float(value), key
 
 
 def test_features_check_cli(tmp_path):

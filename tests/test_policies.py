@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from ssbl.config import default_config
-from ssbl.forces import ForceBreakdown
-from ssbl.geometry import AgentState, Role, Vec2
+from ssbl.forces import ForceBreakdown, combined_force, estimate_ospace
+from ssbl.geometry import AgentState, ProxemicsConfig, Role, Vec2, WorldConfig
+from ssbl.groups import DEFAULT_GAINS, field_turn, sha_policy
 from ssbl.policies import (OBS_SCALE, NetworkPolicy, PolicyParams,
                            RandomPolicy, SffmPolicy, load_checkpoint,
                            make_policy, param_count, policy_forward,
                            save_checkpoint, sffm_baseline_policy, zero_params)
-from ssbl.training import make_env, rollout
+from ssbl.training import make_env, mlp_forward, rollout
 
 
 def random_params(layer_sizes, seed=0, scale=0.6):
@@ -51,13 +52,19 @@ def test_outputs_always_bounded():
 
 
 def test_forward_matches_loop_reimplementation():
+    """policy_forward agrees with a plain-Python oracle, and bit for bit with
+    the batched mlp_forward the trainers use."""
     rng = np.random.default_rng(3)
-    for seed in range(5):
-        params = random_params((7, 9, 5, 2), seed=seed)
-        obs = rng.uniform(-5.0, 5.0, 7)
+    for seed in range(10):
+        sizes = (22, 64, 64, 2) if seed % 2 else (7, 9, 5, 2)
+        params = random_params(sizes, seed=seed)
+        obs = rng.uniform(-5.0, 5.0, sizes[0])
         fast = policy_forward(params, obs)
         slow = reference_forward(params, obs)
         np.testing.assert_allclose(fast, slow, atol=1e-12, rtol=0.0)
+        batched, _ = mlp_forward(params.flat_params.astype(np.float64), sizes,
+                                 obs * OBS_SCALE)
+        assert np.array_equal(fast, batched)
 
 
 def test_dimension_mismatch_raises():
@@ -123,6 +130,29 @@ def test_baseline_outputs_clamped():
     action = sffm_baseline_policy(robot_at(), bd)
     assert -1.0 <= action.a_fwd <= 1.0
     assert -1.0 <= action.a_turn <= 1.0
+
+
+def test_sha_and_baseline_turn_through_one_controller():
+    """The SHA turn rate and the baseline's a_turn are field_turn of the same
+    breakdown and heading, clipped to omega_max and to 1."""
+    world, prox = WorldConfig(), ProxemicsConfig()
+    rng = np.random.default_rng(8)
+    clipped = unclipped = 0
+    for _ in range(200):
+        agents = [AgentState(i, Role.SHA, Vec2(*rng.uniform(3.0, 7.0, 2)),
+                             Vec2(0.0, 0.0), rng.uniform(-math.pi, math.pi))
+                  for i in (1, 2, 3)]
+        ospace = estimate_ospace(agents, prox.s_min)
+        sha = agents[0]
+        bd = combined_force(sha, agents[1:], prox, ospace)
+        _, turn = sha_policy(sha, agents, prox, ospace, world)
+        assert turn == field_turn(bd, sha.heading, DEFAULT_GAINS,
+                                  world.omega_max)
+        a_turn = sffm_baseline_policy(robot_at(sha.heading), bd).a_turn
+        assert a_turn == field_turn(bd, sha.heading, DEFAULT_GAINS, 1.0)
+        clipped += abs(turn) == world.omega_max and abs(a_turn) == 1.0
+        unclipped += abs(turn) < 1.0 and turn == a_turn
+    assert clipped > 0 and unclipped > 0
 
 
 def test_baseline_joins_dyad():
