@@ -4,8 +4,8 @@ reward, CEM/PPO trainers, spatial-feature math, and an evaluation CLI."""
 
 from .config import (ConfigError, EpisodeConfig, FullConfig, TrainConfig,
                      config_hash, default_config, load_config, save_config)
-from .env import (Action, ApproachEnv, EpisodeDoneError, Transition,
-                  encode_observation, observation_length)
+from .env import (Action, ApproachEnv, EpisodeDoneError, encode_observation,
+                  observation_length)
 from .forces import (ForceBreakdown, NeighborPartition, OSpace,
                      cohesion_force, combined_force, equality_force,
                      estimate_ospace, partition_neighbors, repulsion_force)

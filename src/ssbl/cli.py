@@ -61,7 +61,7 @@ def _simulate_episode(cfg_dict: dict, policy_spec: str, master_seed: int,
     seed = [int(master_seed), index]
     result = rollout(env, policy, seed, record=True)
     header = make_header(config_hash(cfg), seed, result.initial_agents)
-    write_trajectory(out_file, header, result.transitions)
+    write_trajectory(out_file, header, result.records)
     return {"file": Path(out_file).name, "episode": index,
             "return": result.ret, "steps": result.steps,
             "success": result.success}

@@ -86,6 +86,9 @@ class TrainConfig:
             raise ValueError("discount must lie in (0, 1]")
         if self.population < 2 or self.episodes_per_eval < 1:
             raise ValueError("population >= 2 and episodes_per_eval >= 1 required")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(
+                f"hidden_sizes entries must be at least 1, got {list(self.hidden_sizes)}")
 
 
 @dataclass(slots=True)
@@ -112,40 +115,56 @@ def default_config() -> FullConfig:
     return FullConfig()
 
 
-_SECTIONS = {
-    "world": (lambda c: c.world, WorldConfig),
-    "proxemics": (lambda c: c.proxemics, ProxemicsConfig),
-    "spawn": (lambda c: c.episode.spawn, GroupSpawnSpec),
-    "reward_weights": (lambda c: c.episode.weights, RewardWeights),
-    "train": (lambda c: c.train, TrainConfig),
-    "sha_controller": (lambda c: c.sha_gains, ShaGains),
-}
-
 _EPISODE_KEYS = ("max_steps", "success_band", "success_angle", "success_hold")
 
+# section -> (the config object it sets, its settable keys; None for all fields)
+_SECTIONS = {
+    "world": (lambda c: c.world, None),
+    "proxemics": (lambda c: c.proxemics, None),
+    "spawn": (lambda c: c.episode.spawn, None),
+    "reward_weights": (lambda c: c.episode.weights, None),
+    "episode": (lambda c: c.episode, _EPISODE_KEYS),
+    "train": (lambda c: c.train, None),
+    "sha_controller": (lambda c: c.sha_gains, None),
+}
 
-def _apply(obj, section: dict, name: str) -> None:
-    valid = {f.name for f in dataclasses.fields(obj)}
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# type of a field's default -> (what a value must be, test of a JSON value)
+_FIELD_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of integers",
+            lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
+def _apply(obj, section, name: str, keys=None) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    valid = keys or {f.name for f in dataclasses.fields(obj)}
     for key, value in section.items():
         if key not in valid:
             raise ConfigError(f"unknown key {key!r} in config section {name!r}")
-        if key == "hidden_sizes":
-            value = tuple(int(v) for v in value)
-        setattr(obj, key, value)
+        default = getattr(obj, key)
+        expected, matches = _FIELD_TYPES[type(default)]
+        if not matches(value):
+            raise ConfigError(f"{name}.{key} must be {expected}, got {value!r}")
+        setattr(obj, key, tuple(value) if isinstance(default, tuple) else value)
 
 
 def config_from_dict(data: dict) -> FullConfig:
     cfg = FullConfig()
     for name, section in data.items():
-        if name == "episode":
-            for key, value in section.items():
-                if key not in _EPISODE_KEYS:
-                    raise ConfigError(f"unknown key {key!r} in config section 'episode'")
-                setattr(cfg.episode, key, value)
-        elif name in _SECTIONS:
-            _apply(_SECTIONS[name][0](cfg), section, name)
-        else:
+        if name not in _SECTIONS:
             raise ConfigError(f"unknown config section {name!r}")
+        get, keys = _SECTIONS[name]
+        _apply(get(cfg), section, name, keys)
     return cfg.validate()
 
 

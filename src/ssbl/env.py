@@ -45,19 +45,6 @@ class Action:
                       max(-1.0, min(1.0, self.a_turn)))
 
 
-@dataclass(slots=True)
-class Transition:
-    """One step of the episode log: post-step agent states plus the action
-    and reward that produced them."""
-
-    t: int
-    states: list[AgentState]
-    action: Action
-    breakdown: RewardBreakdown
-    done: bool
-    success: bool
-
-
 def observation_length(n_shas: int) -> int:
     return AGENT_BLOCK * (1 + n_shas) + N_WALLS
 
@@ -119,7 +106,6 @@ class ApproachEnv:
         self.prox = prox
         self.episode = episode
         self.sha_gains = sha_gains if sha_gains is not None else ShaGains()
-        self.record = False
 
         self.agents: list[AgentState] = []
         self.ospace: OSpace | None = None
@@ -128,8 +114,6 @@ class ApproachEnv:
         self.success = False
         self._hold = 0
         self.seed = None
-        self.episode_log: list[Transition] = []
-        self.initial_agents: list[AgentState] = []
 
     # -- episode control ---------------------------------------------------
 
@@ -143,8 +127,6 @@ class ApproachEnv:
         self.done = False
         self.success = False
         self._hold = 0
-        self.episode_log = []
-        self.initial_agents = list(self.agents)
         return encode_observation(self.agents, self.world)
 
     @property
@@ -218,11 +200,6 @@ class ApproachEnv:
         r4 = success_bonus(self.success, weights.success_bonus)
         breakdown = RewardBreakdown(r1=r1, r2=r2, r3=r3, r4=r4, r5=r5)
         breakdown.total = total_reward(breakdown, weights)
-
-        if self.record:
-            self.episode_log.append(Transition(
-                t=self.t, states=list(post), action=action,
-                breakdown=breakdown, done=self.done, success=self.success))
 
         obs = encode_observation(post, world)
         return obs, breakdown.total, self.done, breakdown

@@ -15,7 +15,7 @@ from .config import FullConfig, config_hash
 from .forces import estimate_ospace
 from .geometry import AgentState, ProxemicsConfig, Role, Vec2
 from .policies import RandomPolicy, SffmPolicy, check_input_width, make_policy
-from .trajlog import agent_to_obj, read_trajectory, transition_to_record
+from .trajlog import agent_to_obj, read_trajectory
 from .training import make_env, relative_performance, rollout
 
 
@@ -120,8 +120,7 @@ def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
     for seed in seeds:
         res = rollout(env, policy, seed, record=True)
         agents = [agent_to_obj(a) for a in res.initial_agents]
-        records = [transition_to_record(tr) for tr in res.transitions]
-        stats.append(episode_stats(agents, records, prox))
+        stats.append(episode_stats(agents, res.records, prox))
     return stats
 
 

@@ -74,7 +74,13 @@ class PolicyParams:
     _layers: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        expected = param_count(self.layer_sizes)
+        sizes = self.layer_sizes
+        if len(sizes) < 2 or min(sizes) < 1:
+            raise ValueError(f"layer sizes {sizes} need an input and an output "
+                             f"layer, each at least 1 wide")
+        if sizes[-1] != 2:
+            raise ValueError(f"output width {sizes[-1]} is not 2 (a_fwd, a_turn)")
+        expected = param_count(sizes)
         self.flat_params = np.asarray(self.flat_params, dtype=np.float32)
         if self.flat_params.shape != (expected,):
             raise ValueError(

@@ -21,7 +21,7 @@ import dataclasses
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .env import Action, ApproachEnv, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
 from .policies import (OBS_SCALE, NetworkPolicy, PolicyParams, RandomPolicy,
                        SffmPolicy, mlp_forward, param_count, unpack_layers)
+from .trajlog import transition_to_record
 
 log = logging.getLogger(__name__)
 
@@ -51,27 +52,31 @@ class RolloutResult:
     ret: float
     steps: int
     success: bool
-    initial_agents: list = field(default_factory=list)
-    transitions: list = field(default_factory=list)
+    initial_agents: list
+    records: list
 
 
 def rollout(env: ApproachEnv, policy, seed, record: bool = False) -> RolloutResult:
-    env.record = record
+    """Run one episode; with `record`, also build the trajectory step record
+    of every tick."""
     obs = env.reset(seed)
+    initial_agents = env.agents
+    records = []
     policy.begin_episode(seed)
     ret = 0.0
     steps = 0
     while True:
         action = policy.act(obs, env)
-        obs, r, done, _ = env.step(action)
+        obs, r, done, bd = env.step(action)
+        if record:
+            records.append(transition_to_record(
+                env.t, env.agents, action.clamped(), bd, done, env.success))
         ret += r
         steps += 1
         if done:
             break
-    env.record = False
     return RolloutResult(seed=seed, ret=ret, steps=steps, success=env.success,
-                         initial_agents=env.initial_agents,
-                         transitions=env.episode_log if record else [])
+                         initial_agents=initial_agents, records=records)
 
 
 def eval_seeds(master_seed: int, n: int) -> list[list[int]]:
@@ -79,9 +84,8 @@ def eval_seeds(master_seed: int, n: int) -> list[list[int]]:
     return [[int(master_seed), 2, i] for i in range(n)]
 
 
-def evaluate_policy(env: ApproachEnv, policy, seeds,
-                    record: bool = False) -> list[RolloutResult]:
-    return [rollout(env, policy, s, record=record) for s in seeds]
+def evaluate_policy(env: ApproachEnv, policy, seeds) -> list[RolloutResult]:
+    return [rollout(env, policy, s) for s in seeds]
 
 
 def mean_return(results: list[RolloutResult]) -> float:

@@ -7,8 +7,9 @@ initial agent states; every following line is one step record:
    "action": [a_fwd, a_turn], "reward": {"r1".."r5", "total"},
    "done": bool, "success": bool}
 
-Floats round-trip exactly through JSON, so anything recomputed from a parsed
-file matches the in-memory run bit for bit.
+`training.rollout(..., record=True)` builds the step records. Floats
+round-trip exactly through JSON, so anything recomputed from a parsed file
+matches the in-memory run bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .env import Transition
+from .env import Action
 from .geometry import AgentState
+from .rewards import RewardBreakdown
 
 
 class TrajectoryFormatError(ValueError):
@@ -36,21 +38,24 @@ def agent_to_obj(a: AgentState) -> dict:
     }
 
 
-def transition_to_record(tr: Transition) -> dict:
+def transition_to_record(t: int, agents: list[AgentState], action: Action,
+                         bd: RewardBreakdown, done: bool, success: bool) -> dict:
+    """The step record of one tick: post-step agents plus the clamped action
+    and reward that produced them."""
     return {
-        "t": tr.t,
-        "agents": [agent_to_obj(a) for a in tr.states],
-        "action": [tr.action.a_fwd, tr.action.a_turn],
+        "t": t,
+        "agents": [agent_to_obj(a) for a in agents],
+        "action": [action.a_fwd, action.a_turn],
         "reward": {
-            "r1": tr.breakdown.r1,
-            "r2": tr.breakdown.r2,
-            "r3": tr.breakdown.r3,
-            "r4": tr.breakdown.r4,
-            "r5": tr.breakdown.r5,
-            "total": tr.breakdown.total,
+            "r1": bd.r1,
+            "r2": bd.r2,
+            "r3": bd.r3,
+            "r4": bd.r4,
+            "r5": bd.r5,
+            "total": bd.total,
         },
-        "done": tr.done,
-        "success": tr.success,
+        "done": done,
+        "success": success,
     }
 
 
@@ -69,11 +74,11 @@ def _dumps(obj: dict) -> str:
 
 
 def write_trajectory(path: str | Path, header: dict,
-                     transitions: list[Transition]) -> None:
+                     records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
-        for tr in transitions:
-            fh.write(_dumps(transition_to_record(tr)) + "\n")
+        for rec in records:
+            fh.write(_dumps(rec) + "\n")
 
 
 def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:

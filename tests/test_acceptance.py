@@ -280,6 +280,7 @@ def test_c10_ppo_gradient_gate():
 # -- criterion 8: training (slow; kept last) ----------------------------------------------
 
 
+@pytest.mark.slow
 def test_c08_cem_training_standard_config():
     cfg = default_config().validate()
     params, report = train_cem(cfg.train, cfg)

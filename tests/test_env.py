@@ -12,7 +12,6 @@ from ssbl.forces import OSpace, estimate_ospace
 from ssbl.geometry import (AgentState, Role, Vec2, WorldConfig, wrap_angle)
 from ssbl.groups import GroupSpawnSpec
 from ssbl.rewards import RewardWeights
-from ssbl.trajlog import transition_to_record
 from ssbl.training import make_env, rollout
 from ssbl.policies import RandomPolicy
 
@@ -220,25 +219,30 @@ def test_rigid_world_rotation_leaves_ego_blocks_unchanged():
 # -- replay and offline recompute ----------------------------------------------------
 
 
-def test_replay_reproduces_log_bit_exactly():
-    env = fresh_env()
-    result_actions = []
-    obs = env.reset([7, 3])
-    env.record = True
-    rng = np.random.default_rng(2)
-    done = False
-    while not done:
-        a = Action(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
-        result_actions.append(a)
-        _, _, done, _ = env.step(a)
-    log1 = [json.dumps(transition_to_record(tr)) for tr in env.episode_log]
+class ReplayPolicy:
+    """Plays a fixed action list, one action per tick."""
 
-    env2 = fresh_env()
-    env2.reset([7, 3])
-    env2.record = True
-    for a in result_actions:
-        env2.step(a)
-    log2 = [json.dumps(transition_to_record(tr)) for tr in env2.episode_log]
+    def __init__(self, actions):
+        self.actions = actions
+
+    def begin_episode(self, seed) -> None:
+        self._next = iter(self.actions)
+
+    def act(self, obs, env) -> Action:
+        return next(self._next)
+
+
+def test_replay_reproduces_log_bit_exactly():
+    rng = np.random.default_rng(2)
+    actions = [Action(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+               for _ in range(default_config().episode.max_steps)]
+    res1 = rollout(fresh_env(), ReplayPolicy(actions), [7, 3], record=True)
+    log1 = [json.dumps(rec) for rec in res1.records]
+    assert [rec["action"] for rec in res1.records] == \
+        [[a.a_fwd, a.a_turn] for a in actions[:res1.steps]]
+
+    res2 = rollout(fresh_env(), ReplayPolicy(actions), [7, 3], record=True)
+    log2 = [json.dumps(rec) for rec in res2.records]
     assert log1 == log2
 
 

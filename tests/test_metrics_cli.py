@@ -1,15 +1,19 @@
+import base64
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
                          load_config, save_config, config_hash, ConfigError)
 from ssbl.geometry import ProxemicsConfig
-from ssbl.metrics import aggregate_stats, compute_metrics, run_compare
-from ssbl.policies import load_checkpoint, save_checkpoint, zero_params
+from ssbl.metrics import (aggregate_stats, compute_metrics, episode_stats,
+                          run_compare)
+from ssbl.policies import (load_checkpoint, param_count, save_checkpoint,
+                           zero_params)
 from ssbl.trajlog import TrajectoryFormatError, read_trajectory
 
 
@@ -55,6 +59,24 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"mystery_section": {}})
     with pytest.raises(ConfigError):
         config_from_dict({"proxemics": {"d_personal": 5.0}})  # breaks ordering
+
+
+@pytest.mark.parametrize("doc", [
+    {"train": {"population": True}},
+    {"train": {"population": 8.0}},
+    {"world": {"dt": False}},
+    {"train": {"warm_start": 1}},
+    {"train": {"algo": 1}},
+    {"train": {"hidden_sizes": [8.0]}},
+    {"train": {"hidden_sizes": 8}},
+])
+def test_config_rejects_mistyped_values(doc):
+    with pytest.raises(ConfigError, match="must be"):
+        config_from_dict(doc)
+
+
+def test_config_takes_int_for_float():
+    assert config_from_dict({"world": {"dt": 1}}).world.dt == 1
 
 
 def test_config_hash_changes_with_content():
@@ -107,6 +129,25 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"episode": {"max_steps": "500"}},
+    {"world": {"dt": "0.1"}},
+    {"episode": [1]},
+    {"train": [1]},
+    {"train": {"hidden_sizes": [0]}},
+], ids=["episode-str", "world-str", "episode-list", "train-list",
+        "hidden-zero"])
+def test_bad_config_value_exits_2(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "eval.json"
+    rc = main(["eval", "--policy", "sffm", "--config", str(bad),
+               "--episodes", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_simulate_parallel_matches_sequential(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "seq", tmp_path / "par"
     main(["simulate", "--policy", "random", "--seed", "3",
@@ -142,14 +183,33 @@ def test_checkpoint_not_an_object_exits_2(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", sorted(_POLICY_ARGS))
-def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command):
+def write_zero_checkpoint(path: Path, layer_sizes) -> Path:
+    """Zero weights saved as a checkpoint file, bypassing PolicyParams's
+    own checks so that invalid layer sizes reach the loader."""
+    flat = np.zeros(param_count(layer_sizes), "<f4")
+    path.write_text(json.dumps({
+        "layer_sizes": list(layer_sizes), "activation": "tanh",
+        "params_b64": base64.b64encode(flat.tobytes()).decode("ascii")}))
+    return path
+
+
+# (layer sizes, error) -- 22 inputs is the observation of n_shas=2
+_BAD_CHECKPOINTS = [((22, 4, 2), "input width 22"),
+                    ((22, 4, 1), "output width 1"),
+                    ((22, 4, 3), "output width 3")]
+
+
+@pytest.mark.parametrize("command,layer_sizes,message", [
+    pytest.param(command, sizes, message,
+                 id=command if sizes[-1] == 2 else f"{command}-output{sizes[-1]}")
+    for command in sorted(_POLICY_ARGS) for sizes, message in _BAD_CHECKPOINTS])
+def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command,
+                                                 layer_sizes, message):
     cfg = default_config()
     cfg.episode.spawn.n_shas = 3
     cfg_path = tmp_path / "three_shas.json"
     save_config(cfg, cfg_path)
-    ckpt = tmp_path / "two_shas.json"
-    save_checkpoint(zero_params((22, 4, 2)), ckpt)
+    ckpt = write_zero_checkpoint(tmp_path / "ckpt.json", layer_sizes)
     policy = {"simulate": ["--policy", str(ckpt)],
               "eval": ["--policy", str(ckpt)],
               "compare": ["--policy-a", "sffm", "--policy-b", str(ckpt)]}
@@ -157,7 +217,7 @@ def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command):
     rc = main([command, *policy[command], "--config", str(cfg_path),
                "--episodes", "1", "--out", str(out)])
     assert rc == 2
-    assert "input width 22" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.is_file()
     assert not (out.is_dir() and any(out.iterdir()))
 
@@ -288,6 +348,23 @@ def test_eval_cli_writes_metrics(tmp_path):
     for row, stats in zip(rows, doc["per_episode"]):
         for key, value in stats.items():
             assert float(row[key]) == float(value), key
+
+
+@pytest.mark.parametrize("policy", ["sffm", "random"])
+def test_eval_per_episode_equals_simulate_files(tmp_path, policy):
+    """Live metrics and metrics of the written trajectory files match bit
+    for bit."""
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--policy", policy, "--episodes", "3",
+                 "--seed", "6", "--out", str(out)]) == 0
+    runs = tmp_path / "runs"
+    assert main(["simulate", "--policy", policy, "--episodes", "3",
+                 "--seed", "6", "--out", str(runs)]) == 0
+    prox = default_config().proxemics
+    from_files = [episode_stats(header["agents"], records, prox)
+                  for header, records in map(read_trajectory,
+                                             sorted(runs.glob("episode_*.jsonl")))]
+    assert json.loads(out.read_text())["per_episode"] == from_files
 
 
 def test_features_check_cli(tmp_path):
