@@ -6,9 +6,7 @@ from .config import (ConfigError, EpisodeConfig, FullConfig, TrainConfig,
                      config_hash, default_config, load_config, save_config)
 from .env import (Action, ApproachEnv, EpisodeDoneError, encode_observation,
                   observation_length)
-from .forces import (ForceBreakdown, NeighborPartition, OSpace,
-                     cohesion_force, combined_force, equality_force,
-                     estimate_ospace, partition_neighbors, repulsion_force)
+from .forces import ForceBreakdown, OSpace, combined_force, estimate_ospace
 from .geometry import (AgentState, ProxemicsConfig, Role, SimulationFault,
                        Vec2, WorldConfig, integrate, wall_distances,
                        wrap_angle)

@@ -137,7 +137,8 @@ def _is_int(v) -> bool:
 _FIELD_TYPES = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    float: ("a finite number",
+            lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
     str: ("a string", lambda v: isinstance(v, str)),
     tuple: ("a list of integers",
             lambda v: isinstance(v, list) and all(map(_is_int, v))),

@@ -137,11 +137,6 @@ class ApproachEnv:
     def shas(self) -> list[AgentState]:
         return self.agents[1:]
 
-    def _field_at(self, pos: Vec2, subject: AgentState,
-                  others: list[AgentState], ospace: OSpace) -> Vec2:
-        probe = replace(subject, position=pos)
-        return combined_force(probe, others, self.prox, ospace).combined
-
     def step(self, action: Action) -> tuple[np.ndarray, float, bool, RewardBreakdown]:
         if self.done:
             raise EpisodeDoneError("step() called on a finished episode; call reset()")
@@ -172,7 +167,7 @@ class ApproachEnv:
         # (4) reward increments against the pre-tick field
         pre_shas = pre[1:]
         r1 = weights.sign_r1 * group_forming_increment(
-            lambda u: self._field_at(u, robot, pre_shas, pre_ospace),
+            lambda u: combined_force(u, pre_shas, self.prox, pre_ospace).combined,
             robot.position, post[0].position)
         r2 = non_increasing_increment(r1 / dt, dt)
         r3 = time_penalty_increment(dt)
@@ -182,7 +177,8 @@ class ApproachEnv:
             others = [pre[0]] + [s for s in pre_shas if s.id != sha.id]
             mid = Vec2((sha.position.x + post[j + 1].position.x) * 0.5,
                        (sha.position.y + post[j + 1].position.y) * 0.5)
-            per_sha.append((self._field_at(mid, sha, others, pre_ospace), disp))
+            field = combined_force(mid, others, self.prox, pre_ospace).combined
+            per_sha.append((field, disp))
         r5 = sha_disturbance_increment(per_sha)
 
         # (5) success and termination on the post-tick state

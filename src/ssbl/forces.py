@@ -1,36 +1,30 @@
-"""Conversation force field: proxemic neighbor partitioning and the
-repulsion, equality and cohesion forces with their orientation vectors.
+"""Conversation force field: the repulsion, equality and cohesion forces at a
+point, with their orientation vectors.
 
-Conventions, with p the evaluated agent's position and p_i neighbor positions:
+Conventions, with p the evaluated point and p_i the neighbor positions; the
+caller leaves the agent standing at p (if any) out of the neighbors:
 
   repulsion   F_r = -(d_personal - d_min)^2 * unit(p_r),  p_r = sum(p_i - p)
               over personal-zone neighbors; d_min = distance to the closest.
   equality    F_e = (1 - m / |c - p|) (c - p) over social-zone neighbors,
-              c the centroid of subject+neighbors, m the mean member
+              c the centroid of p and the neighbors, m the mean member
               distance from c;  d_e = sum(p_i - p).
   cohesion    F_c = alpha (1 - s / |o - p|) (o - p) with alpha =
               N_public / (N_social + 1) and (o, s) the shared o-space;
               d_c = sum(p_i - p) over public-zone neighbors.
 
+A neighbor is in a zone when its distance from p is at most the zone radius;
+the zones nest (personal within social within public).
 Wherever a formula divides by a vector norm, a norm at or below EPS_DIR makes
 the force evaluate to zero instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .geometry import EPS_DIR, AgentState, ProxemicsConfig, Vec2, ZERO2
-
-
-@dataclass(slots=True)
-class NeighborPartition:
-    """Neighbors of one agent bucketed by zone. Zones nest: every personal
-    neighbor is also in social and public, every social neighbor in public."""
-
-    personal: list[AgentState] = field(default_factory=list)
-    social: list[AgentState] = field(default_factory=list)
-    public: list[AgentState] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -51,113 +45,85 @@ class ForceBreakdown:
     combined: Vec2
 
 
-def partition_neighbors(subject: AgentState, others: list[AgentState],
-                        prox: ProxemicsConfig) -> NeighborPartition:
-    """Bucket `others` by Euclidean distance from `subject` (self excluded)."""
-    part = NeighborPartition()
-    p = subject.position
-    for a in others:
-        if a.id == subject.id:
-            continue
-        d = (a.position - p).norm()
-        if d <= prox.d_personal:
-            part.personal.append(a)
-        if d <= prox.d_social:
-            part.social.append(a)
-        if d <= prox.d_public:
-            part.public.append(a)
-    return part
-
-
-def repulsion_force(subject: AgentState, partition: NeighborPartition,
-                    prox: ProxemicsConfig) -> Vec2:
-    """Push-away force from agents inside the personal zone."""
-    if not partition.personal:
-        return ZERO2
-    p = subject.position
-    px = py = 0.0
-    d_min = float("inf")
-    for a in partition.personal:
-        off = a.position - p
-        px += off.x
-        py += off.y
-        d = off.norm()
-        if d < d_min:
-            d_min = d
-    direction = Vec2(px, py).normalized()
-    if direction == ZERO2:
-        # symmetric intruders cancel; direction undefined
-        return ZERO2
-    mag = (prox.d_personal - d_min) ** 2
-    return Vec2(-mag * direction.x, -mag * direction.y)
-
-
-def equality_force(subject: AgentState,
-                   partition: NeighborPartition) -> tuple[Vec2, Vec2]:
-    """Force toward/away from the social-zone centroid that equalizes member
-    distances, plus the orientation vector d_e."""
-    social = partition.social
-    if not social:
-        return ZERO2, ZERO2
-    p = subject.position
-    n = len(social)
-    cx, cy = p.x, p.y
-    dex = dey = 0.0
-    for a in social:
-        cx += a.position.x
-        cy += a.position.y
-        dex += a.position.x - p.x
-        dey += a.position.y - p.y
-    c = Vec2(cx / (n + 1), cy / (n + 1))
-    m = (c - p).norm()
-    for a in social:
-        m += (c - a.position).norm()
-    m /= n + 1
-    d_e = Vec2(dex, dey)
-    r = c - p
-    dist = r.norm()
-    if dist <= EPS_DIR:
-        return ZERO2, d_e
-    coeff = 1.0 - m / dist
-    return Vec2(coeff * r.x, coeff * r.y), d_e
-
-
-def cohesion_force(subject: AgentState, partition: NeighborPartition,
-                   ospace: OSpace) -> tuple[Vec2, Vec2]:
-    """Attraction toward the o-space that keeps stragglers with the group,
-    plus the orientation vector d_c."""
-    public = partition.public
-    if not public:
-        return ZERO2, ZERO2
-    p = subject.position
-    dcx = dcy = 0.0
-    for a in public:
-        dcx += a.position.x - p.x
-        dcy += a.position.y - p.y
-    d_c = Vec2(dcx, dcy)
-    alpha = len(public) / (len(partition.social) + 1)
-    r = ospace.center - p
-    dist = r.norm()
-    if dist <= EPS_DIR:
-        return ZERO2, d_c
-    coeff = alpha * (1.0 - ospace.radius / dist)
-    return Vec2(coeff * r.x, coeff * r.y), d_c
-
-
-def combined_force(subject: AgentState, others: list[AgentState],
+def combined_force(p: Vec2 | AgentState, others: list[AgentState],
                    prox: ProxemicsConfig, ospace: OSpace) -> ForceBreakdown:
-    """Evaluate all three forces for one agent against the given neighbors."""
-    part = partition_neighbors(subject, others, prox)
-    f_r = repulsion_force(subject, part, prox)
-    f_e, d_e = equality_force(subject, part)
-    f_c, d_c = cohesion_force(subject, part, ospace)
+    """Evaluate all three forces at point `p` (an agent stands for its
+    position) in one pass over the neighbors `others`."""
+    if isinstance(p, AgentState):
+        p = p.position
+    px, py = p
+    d_personal, d_social, d_public = prox.d_personal, prox.d_social, prox.d_public
+    n_personal = n_public = 0
+    rx = ry = 0.0                  # personal offset sums
+    d_min = math.inf
+    cx, cy = px, py                # social centroid sums, p included
+    dex = dey = 0.0
+    dcx = dcy = 0.0
+    social = []
+    for a in others:
+        ax, ay = a.position
+        ox = ax - px
+        oy = ay - py
+        d = math.hypot(ox, oy)
+        if d <= d_public:
+            n_public += 1
+            dcx += ox
+            dcy += oy
+            if d <= d_social:
+                cx += ax
+                cy += ay
+                dex += ox
+                dey += oy
+                social.append((ax, ay))
+                if d <= d_personal:
+                    n_personal += 1
+                    rx += ox
+                    ry += oy
+                    if d < d_min:
+                        d_min = d
+
+    f_rx = f_ry = 0.0
+    if n_personal:
+        n = math.hypot(rx, ry)
+        if n > EPS_DIR:            # symmetric intruders cancel: no direction
+            mag = (d_personal - d_min) ** 2
+            f_rx, f_ry = -mag * (rx / n), -mag * (ry / n)
+
+    f_ex = f_ey = 0.0
+    d_e = d_c = ZERO2
+    n_social = len(social)
+    if n_social:
+        cx /= n_social + 1
+        cy /= n_social + 1
+        ex, ey = cx - px, cy - py
+        dist = math.hypot(ex, ey)
+        m = dist
+        for ax, ay in social:
+            m += math.hypot(cx - ax, cy - ay)
+        m /= n_social + 1
+        d_e = Vec2(dex, dey)
+        if dist > EPS_DIR:
+            coeff = 1.0 - m / dist
+            f_ex, f_ey = coeff * ex, coeff * ey
+
+    f_cx = f_cy = 0.0
+    if n_public:
+        d_c = Vec2(dcx, dcy)
+        alpha = n_public / (n_social + 1)
+        o = ospace.center
+        ox, oy = o.x - px, o.y - py
+        dist = math.hypot(ox, oy)
+        if dist > EPS_DIR:
+            coeff = alpha * (1.0 - ospace.radius / dist)
+            f_cx, f_cy = coeff * ox, coeff * oy
+
     return ForceBreakdown(
-        repulsion=f_r,
-        equality=f_e,
-        cohesion=f_c,
+        repulsion=Vec2(f_rx, f_ry),
+        equality=Vec2(f_ex, f_ey),
+        cohesion=Vec2(f_cx, f_cy),
         d_e=d_e,
         d_c=d_c,
-        combined=Vec2(f_r.x + f_e.x + f_c.x, f_r.y + f_e.y + f_c.y),
+        combined=Vec2(f_rx + f_ex + f_cx, f_ry + f_ey + f_cy),
     )
 
 

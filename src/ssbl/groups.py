@@ -77,7 +77,7 @@ def sha_policy(sha: AgentState, all_agents: list[AgentState],
     if sha.role is not Role.SHA:
         raise ValueError(f"sha_policy called for non-SHA agent {sha.id}")
     others = [a for a in all_agents if a.id != sha.id]
-    bd = combined_force(sha, others, prox, ospace)
+    bd = combined_force(sha.position, others, prox, ospace)
 
     f = bd.combined
     fnorm = f.norm()

@@ -16,7 +16,8 @@ from .forces import estimate_ospace
 from .geometry import AgentState, ProxemicsConfig, Role, Vec2
 from .policies import RandomPolicy, SffmPolicy, check_input_width, make_policy
 from .trajlog import agent_to_obj, read_trajectory
-from .training import make_env, relative_performance, rollout
+from .training import (evaluate_policy, make_env, mean_return,
+                       relative_performance, rollout)
 
 
 @dataclass(slots=True)
@@ -169,7 +170,7 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
         if name in evaluated:
             anchors[name] = _mean_return(evaluated[name])
         else:
-            anchors[name] = _mean_return(live_stats(env, policy, seeds, prox))
+            anchors[name] = mean_return(evaluate_policy(env, policy, seeds))
 
     stats_a = evaluated[policy_a]
     stats_b = evaluated[policy_b]

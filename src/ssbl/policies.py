@@ -186,7 +186,7 @@ class SffmPolicy:
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> Action:
         robot = env.robot
-        bd = combined_force(robot, env.shas, env.prox, env.ospace)
+        bd = combined_force(robot.position, env.shas, env.prox, env.ospace)
         return sffm_baseline_policy(robot, bd)
 
 

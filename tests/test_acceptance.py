@@ -20,8 +20,7 @@ import pytest
 from conftest import run_group
 from ssbl.cli import main
 from ssbl.config import default_config
-from ssbl.forces import (cohesion_force, equality_force,
-                         partition_neighbors, repulsion_force)
+from ssbl.forces import OSpace, combined_force
 from ssbl.geometry import AgentState, ProxemicsConfig, Role, Vec2
 from ssbl.groups import GroupSpawnSpec, spawn_episode
 from ssbl.metrics import aggregate_stats, live_stats
@@ -89,13 +88,13 @@ def test_c01_normalization_formula_self_consistency():
 
 
 def test_c02_force_law_suite():
-    subject = sha(0, 0.0, 0.0)
-    part = partition_neighbors(subject, [sha(1, 0.5, 0.0)], PROX)
-    f_r = repulsion_force(subject, part, PROX)
+    origin = Vec2(0.0, 0.0)
+    ospace = OSpace(Vec2(0.0, 0.0), 1.5)
+    f_r = combined_force(origin, [sha(1, 0.5, 0.0)], PROX, ospace).repulsion
     assert abs(f_r.x - (-0.49)) < 1e-9 and abs(f_r.y) < 1e-9
 
-    part = partition_neighbors(subject, [sha(1, 2.0, 0.0), sha(2, 0.0, 2.0)], PROX)
-    f_e, _ = equality_force(subject, part)
+    f_e = combined_force(origin, [sha(1, 2.0, 0.0), sha(2, 0.0, 2.0)], PROX,
+                         ospace).equality
     assert abs(f_e.x - (-0.2583)) < 1e-4 and abs(f_e.y - (-0.2583)) < 1e-4
     # brute-force oracle: direct centroid / mean-distance arithmetic
     pts = [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
@@ -105,10 +104,8 @@ def test_c02_force_law_suite():
     coeff = 1.0 - m / math.hypot(cx, cy)
     assert abs(f_e.x - coeff * cx) < 1e-9 and abs(f_e.y - coeff * cy) < 1e-9
 
-    subject3 = sha(0, 3.0, 0.0)
-    part = partition_neighbors(subject3, [sha(1, 1.0, 0.0)], PROX)
-    from ssbl.forces import OSpace
-    f_c, _ = cohesion_force(subject3, part, OSpace(Vec2(0.0, 0.0), 1.5))
+    f_c = combined_force(Vec2(3.0, 0.0), [sha(1, 1.0, 0.0)], PROX,
+                         ospace).cohesion
     assert abs(f_c.x - (-0.75)) < 1e-9 and abs(f_c.y) < 1e-9
     _pass("force-law hand-derived values")
 
@@ -124,8 +121,8 @@ def test_c03_regular_polygon_equality_vanishing():
                    for i in range(n)]
         for subject in members:
             others = [a for a in members if a.id != subject.id]
-            part = partition_neighbors(subject, others, PROX)
-            f_e, _ = equality_force(subject, part)
+            f_e = combined_force(subject.position, others, PROX,
+                                 OSpace(Vec2(0.0, 0.0), radius)).equality
             assert f_e.norm() < 1e-9, f"n={n}, member {subject.id}"
     _pass("regular-polygon equality vanishing (n=2..6)")
 

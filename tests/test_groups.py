@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import run_group, step_group_once
-from ssbl.forces import estimate_ospace, partition_neighbors, repulsion_force
+from ssbl.forces import combined_force, estimate_ospace
 from ssbl.geometry import AgentState, Role, Vec2, WorldConfig
 from ssbl.groups import (GroupSpawnSpec, SpawnError, sha_policy,
                          spawn_episode)
@@ -49,8 +49,7 @@ def test_intruding_robot_pushes_sha_away(world, prox):
     a = agents[0]
     ospace = estimate_ospace(agents[:2], prox.s_min)
     accel, _ = sha_policy(a, agents, prox, ospace, world)
-    part = partition_neighbors(a, agents[1:], prox)
-    f_r = repulsion_force(a, part, prox)
+    f_r = combined_force(a.position, agents[1:], prox, ospace).repulsion
     assert f_r.norm() > 0.0
     assert accel.dot(f_r) > 0.0  # acceleration has a component along repulsion
 

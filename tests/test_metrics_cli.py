@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +136,11 @@ def test_simulate_bad_config_exits_2(tmp_path):
     {"episode": [1]},
     {"train": [1]},
     {"train": {"hidden_sizes": [0]}},
+    {"world": {"dt": math.nan}},
+    {"episode": {"success_band": math.inf}},
+    {"proxemics": {"s_min": -math.inf}},
 ], ids=["episode-str", "world-str", "episode-list", "train-list",
-        "hidden-zero"])
+        "hidden-zero", "world-nan", "episode-inf", "proxemics-minus-inf"])
 def test_bad_config_value_exits_2(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -144,7 +144,7 @@ def test_sha_and_baseline_turn_through_one_controller():
                   for i in (1, 2, 3)]
         ospace = estimate_ospace(agents, prox.s_min)
         sha = agents[0]
-        bd = combined_force(sha, agents[1:], prox, ospace)
+        bd = combined_force(sha.position, agents[1:], prox, ospace)
         _, turn = sha_policy(sha, agents, prox, ospace, world)
         assert turn == field_turn(bd, sha.heading, DEFAULT_GAINS,
                                   world.omega_max)
