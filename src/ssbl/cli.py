@@ -2,8 +2,9 @@
 
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error.
-The environment variable SSBL_THREADS caps how many episodes `simulate`
-rolls out in parallel (default 1; outputs are identical either way).
+Every command steps all its episodes of one policy as one batch in this
+process. The environment variable SSBL_THREADS is still read and must be an
+integer, but it no longer changes anything.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import spatial_features
-from .config import (ConfigError, FullConfig, config_hash, config_to_dict,
-                     default_config, load_config)
+from .config import (ConfigError, FullConfig, config_hash, default_config,
+                     load_config)
 from .metrics import aggregate_stats, live_stats, run_compare
-from .policies import check_input_width, make_policy, save_checkpoint
+from .policies import make_policy, save_checkpoint
 from .trajlog import make_header, write_trajectory
 from .training import make_env, rollout, train
 
@@ -37,10 +38,12 @@ def _load_cfg(args) -> FullConfig:
     return cfg.validate()
 
 
-def _threads() -> int:
+def _check_threads() -> None:
+    """SSBL_THREADS is still accepted and must be an integer; since every
+    command steps its episodes as one batch, it changes nothing."""
     raw = os.environ.get("SSBL_THREADS", "1")
     try:
-        return max(1, int(raw))
+        int(raw)
     except ValueError as e:
         raise ConfigError(f"SSBL_THREADS must be an integer, got {raw!r}") from e
 
@@ -50,44 +53,27 @@ def _check_episodes(n: int) -> None:
         raise ConfigError(f"--episodes must be at least 1, got {n}")
 
 
-def _simulate_episode(cfg_dict: dict, policy_spec: str, master_seed: int,
-                      index: int, out_file: str) -> dict:
-    from .config import config_from_dict
-
-    cfg = config_from_dict(cfg_dict)
-    env = make_env(cfg)
-    policy = make_policy(policy_spec)
-    check_input_width(policy, cfg.episode.spawn.n_shas)
-    seed = [int(master_seed), index]
-    result = rollout(env, policy, seed, record=True)
-    header = make_header(config_hash(cfg), seed, result.initial_agents)
-    write_trajectory(out_file, header, result.records)
-    return {"file": Path(out_file).name, "episode": index,
-            "return": result.ret, "steps": result.steps,
-            "success": result.success}
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     _check_episodes(args.episodes)
+    _check_threads()
+    policy = make_policy(args.policy, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg_dict = config_to_dict(cfg)
 
-    jobs = [(cfg_dict, args.policy, args.seed, i,
-             str(out_dir / f"episode_{i:03d}.jsonl"))
-            for i in range(args.episodes)]
-    threads = min(_threads(), len(jobs))
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(_simulate_episode, *zip(*jobs)))
-    else:
-        entries = [_simulate_episode(*job) for job in jobs]
+    seeds = [[int(args.seed), i] for i in range(args.episodes)]
+    results = rollout(make_env(cfg), policy, seeds, record=True)
+    cfg_hash = config_hash(cfg)
+    entries = []
+    for i, res in enumerate(results):
+        name = f"episode_{i:03d}.jsonl"
+        write_trajectory(out_dir / name, make_header(cfg_hash, res.seed, res.track),
+                         res.records)
+        entries.append({"file": name, "episode": i, "return": res.ret,
+                        "steps": res.steps, "success": res.success})
 
     manifest = {
-        "config_hash": config_hash(cfg),
+        "config_hash": cfg_hash,
         "master_seed": int(args.seed),
         "policy": args.policy,
         "episodes": args.episodes,
@@ -129,8 +115,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
     _check_episodes(args.episodes)
-    policy = make_policy(args.policy)
-    check_input_width(policy, cfg.episode.spawn.n_shas)
+    policy = make_policy(args.policy, cfg)
     seeds = [[int(args.seed), i] for i in range(args.episodes)]
     stats = live_stats(make_env(cfg), policy, seeds, cfg.proxemics)
 

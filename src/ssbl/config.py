@@ -86,6 +86,11 @@ class TrainConfig:
             raise ValueError("discount must lie in (0, 1]")
         if self.population < 2 or self.episodes_per_eval < 1:
             raise ValueError("population >= 2 and episodes_per_eval >= 1 required")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        for name in ("eval_episodes", "rollout_episodes", "minibatch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(
                 f"hidden_sizes entries must be at least 1, got {list(self.hidden_sizes)}")

@@ -2,17 +2,18 @@
 physics integrator.
 
 All quantities are SI: meters, seconds, radians. Headings live in (-pi, pi].
+`Vec2` and `AgentState` describe single agents at the edges (spawning,
+trajectory headers, metrics); the integrator works on arrays of agents.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-log = logging.getLogger(__name__)
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,12 +35,6 @@ class Vec2(NamedTuple):
     def __add__(self, other):
         return Vec2(self.x + other.x, self.y + other.y)
 
-    def __radd__(self, other):
-        # supports sum() over vectors
-        if other == 0:
-            return self
-        return NotImplemented
-
     def __sub__(self, other):
         return Vec2(self.x - other.x, self.y - other.y)
 
@@ -48,14 +43,8 @@ class Vec2(NamedTuple):
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Vec2(-self.x, -self.y)
-
     def dot(self, other) -> float:
         return self.x * other.x + self.y * other.y
-
-    def norm_sq(self) -> float:
-        return self.x * self.x + self.y * self.y
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
@@ -81,10 +70,10 @@ class Vec2(NamedTuple):
 ZERO2 = Vec2(0.0, 0.0)
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    r = a % TWO_PI
-    return r - TWO_PI if r > math.pi else r
+def wrap_angle(a):
+    """Wrap angles (a float or an array) to (-pi, pi]."""
+    r = np.mod(a, TWO_PI)
+    return r - TWO_PI * (r > math.pi)
 
 
 class Role(Enum):
@@ -105,9 +94,6 @@ class AgentState:
 
     def speed(self) -> float:
         return self.velocity.norm()
-
-    def heading_unit(self) -> Vec2:
-        return Vec2(math.cos(self.heading), math.sin(self.heading))
 
 
 @dataclass(slots=True)
@@ -151,78 +137,55 @@ class WorldConfig:
         if self.v_max <= 0.0 or self.a_max <= 0.0 or self.omega_max <= 0.0:
             raise ValueError("v_max, a_max and omega_max must be positive")
 
-    def center(self) -> Vec2:
-        return Vec2(self.floor_side / 2.0, self.floor_side / 2.0)
 
-
-def integrate(agent: AgentState, accel: Vec2, turn_rate: float,
-              world: WorldConfig) -> AgentState:
-    """Advance one agent by one tick of semi-implicit Euler.
+def advance(pos: np.ndarray, vel: np.ndarray, heading: np.ndarray,
+            accel: np.ndarray, turn_rate: np.ndarray, world: WorldConfig
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance agents (positions and velocities (..., 2), headings (...)) by
+    one tick of semi-implicit Euler; returns new arrays.
 
     v' = clamp(damping * (v + a*dt), v_max); p' = p + v'*dt, clamped to the
     walls with the velocity component into the wall zeroed; heading wrapped.
     """
-    if not (accel.is_finite() and math.isfinite(turn_rate)
-            and agent.position.is_finite() and agent.velocity.is_finite()
-            and math.isfinite(agent.heading)):
-        raise SimulationFault(f"non-finite state or command for agent {agent.id}")
-    if accel.norm() > world.a_max * (1.0 + 1e-9) + 1e-12:
-        raise ValueError(f"|accel|={accel.norm()} exceeds a_max={world.a_max}")
-    if abs(turn_rate) > world.omega_max * (1.0 + 1e-9) + 1e-12:
-        raise ValueError(f"|turn_rate|={turn_rate} exceeds omega_max={world.omega_max}")
+    if not (np.isfinite(accel).all() and np.isfinite(turn_rate).all()
+            and np.isfinite(pos).all() and np.isfinite(vel).all()
+            and np.isfinite(heading).all()):
+        raise SimulationFault("non-finite state or command")
+    a_norm = np.hypot(accel[..., 0], accel[..., 1])
+    if (a_norm > world.a_max * (1.0 + 1e-9) + 1e-12).any():
+        raise ValueError(f"|accel|={a_norm.max()} exceeds a_max={world.a_max}")
+    if (np.abs(turn_rate) > world.omega_max * (1.0 + 1e-9) + 1e-12).any():
+        raise ValueError(f"|turn_rate|={np.abs(turn_rate).max()} exceeds "
+                         f"omega_max={world.omega_max}")
 
     d = world.damping
     dt = world.dt
-    vx = d * (agent.velocity.x + accel.x * dt)
-    vy = d * (agent.velocity.y + accel.y * dt)
-    speed = math.hypot(vx, vy)
-    # renormalize at most a few times so rounding can never leave speed above cap
+    vx = d * (vel[..., 0] + accel[..., 0] * dt)
+    vy = d * (vel[..., 1] + accel[..., 1] * dt)
+    speed = np.hypot(vx, vy)
+    # renormalize at most a few times so rounding can never leave speed above
+    # cap; the factor is exactly 1 for agents already within it
     for _ in range(4):
-        if speed <= world.v_max:
+        if not (speed > world.v_max).any():
             break
-        f = world.v_max / speed
-        vx *= f
-        vy *= f
-        speed = math.hypot(vx, vy)
+        f = world.v_max / np.maximum(speed, world.v_max)
+        vx = vx * f
+        vy = vy * f
+        speed = np.hypot(vx, vy)
 
-    px = agent.position.x + vx * dt
-    py = agent.position.y + vy * dt
     side = world.floor_side
-    if px < 0.0:
-        px = 0.0
-        if vx < 0.0:
-            vx = 0.0
-    elif px > side:
-        px = side
-        if vx > 0.0:
-            vx = 0.0
-    if py < 0.0:
-        py = 0.0
-        if vy < 0.0:
-            vy = 0.0
-    elif py > side:
-        py = side
-        if vy > 0.0:
-            vy = 0.0
-
-    return AgentState(
-        id=agent.id,
-        role=agent.role,
-        position=Vec2(px, py),
-        velocity=Vec2(vx, vy),
-        heading=wrap_angle(agent.heading + turn_rate * dt),
-    )
+    px = pos[..., 0] + vx * dt
+    py = pos[..., 1] + vy * dt
+    vx = np.where(((px < 0.0) & (vx < 0.0)) | ((px > side) & (vx > 0.0)), 0.0, vx)
+    vy = np.where(((py < 0.0) & (vy < 0.0)) | ((py > side) & (vy > 0.0)), 0.0, vy)
+    return (np.stack([np.clip(px, 0.0, side), np.clip(py, 0.0, side)], axis=-1),
+            np.stack([vx, vy], axis=-1), wrap_angle(heading + turn_rate * dt))
 
 
-def wall_distances(p: Vec2, world: WorldConfig) -> tuple[float, float, float, float]:
-    """Distances (left, right, bottom, top) from p to the four walls.
-
-    Points outside the floor are clamped first; that only happens on corrupt
-    input, so it is logged rather than raised.
-    """
+def wall_distances(p: np.ndarray, world: WorldConfig) -> np.ndarray:
+    """Distances (left, right, bottom, top) from points (..., 2) to the four
+    walls, as (..., 4). Points outside the floor are clamped onto it first."""
     side = world.floor_side
-    x = min(max(p.x, 0.0), side)
-    y = min(max(p.y, 0.0), side)
-    if x != p.x or y != p.y:
-        log.warning("wall_distances: position %s outside [0, %s]^2, clamped", p, side)
-    return (x, side - x, y, side - y)
+    x = np.clip(p[..., 0], 0.0, side)
+    y = np.clip(p[..., 1], 0.0, side)
+    return np.stack([x, side - x, y, side - y], axis=-1)

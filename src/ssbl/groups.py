@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forces import ForceBreakdown, OSpace, combined_force
 from .geometry import (EPS_DIR, AgentState, ProxemicsConfig, Role, Vec2,
                        WorldConfig, wrap_angle)
 
@@ -54,41 +53,42 @@ class ShaGains:
 DEFAULT_GAINS = ShaGains()
 
 
-def field_turn(bd: ForceBreakdown, heading: float, gains: ShaGains,
-               limit: float) -> float:
-    """Turn command toward the blend of the normalized social and public
-    orientation vectors, clipped to [-limit, limit]; 0 (hold heading) when
-    the blend vanishes."""
-    blend = gains.w_de * bd.d_e.normalized() + gains.w_dc * bd.d_c.normalized()
-    if blend.norm() <= EPS_DIR:
-        return 0.0
-    err = wrap_angle(blend.heading() - heading)
-    return max(-limit, min(limit, gains.k_turn * err))
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v (..., 2) over its norm, or (0, 0) where the norm is at or below
+    EPS_DIR."""
+    n = np.hypot(v[..., 0], v[..., 1])[..., None]
+    ok = n > EPS_DIR
+    return np.where(ok, v / np.where(ok, n, 1.0), 0.0)
 
 
-def sha_policy(sha: AgentState, all_agents: list[AgentState],
-               prox: ProxemicsConfig, ospace: OSpace, world: WorldConfig,
-               gains: ShaGains = DEFAULT_GAINS) -> tuple[Vec2, float]:
-    """Acceleration and turn rate for one SHA under the conversation field.
+def field_turn(d_e: np.ndarray, d_c: np.ndarray, heading: np.ndarray,
+               gains: ShaGains, limit: float) -> np.ndarray:
+    """Turn commands toward the blend of the normalized social and public
+    orientation vectors (..., 2), clipped to [-limit, limit]; 0 (hold
+    heading) where the blend vanishes."""
+    blend = gains.w_de * _unit(d_e) + gains.w_dc * _unit(d_c)
+    bx, by = blend[..., 0], blend[..., 1]
+    err = wrap_angle(np.arctan2(by, bx) - heading)
+    return np.where(np.hypot(bx, by) > EPS_DIR,
+                    np.clip(gains.k_turn * err, -limit, limit), 0.0)
+
+
+def sha_commands(force: np.ndarray, d_e: np.ndarray, d_c: np.ndarray,
+                 heading: np.ndarray, world: WorldConfig,
+                 gains: ShaGains = DEFAULT_GAINS) -> tuple[np.ndarray, np.ndarray]:
+    """Accelerations (..., 2) and turn rates (...) of SHAs under the
+    conversation field at their positions (`forces.field_at`).
 
     Acceleration follows the combined force (deadbanded, clipped to a_max);
     the turn rate is `field_turn` clipped to omega_max.
     """
-    if sha.role is not Role.SHA:
-        raise ValueError(f"sha_policy called for non-SHA agent {sha.id}")
-    others = [a for a in all_agents if a.id != sha.id]
-    bd = combined_force(sha.position, others, prox, ospace)
-
-    f = bd.combined
-    fnorm = f.norm()
-    if fnorm < gains.f_dead:
-        accel = Vec2(0.0, 0.0)
-    else:
-        accel = gains.gain_f * f
-        anorm = accel.norm()
-        if anorm > world.a_max:
-            accel = accel * (world.a_max / anorm)
-    return accel, field_turn(bd, sha.heading, gains, world.omega_max)
+    f_norm = np.hypot(force[..., 0], force[..., 1])[..., None]
+    accel = gains.gain_f * force
+    a_norm = np.hypot(accel[..., 0], accel[..., 1])[..., None]
+    # the factor is exactly 1 where the acceleration is within a_max
+    accel = accel * (world.a_max / np.maximum(a_norm, world.a_max))
+    accel = np.where(f_norm < gains.f_dead, 0.0, accel)
+    return accel, field_turn(d_e, d_c, heading, gains, world.omega_max)
 
 
 def _ray_to_wall(origin: Vec2, angle: float, side: float) -> float:

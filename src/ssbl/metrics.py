@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from .config import FullConfig, config_hash
-from .forces import estimate_ospace
-from .geometry import AgentState, ProxemicsConfig, Role, Vec2
-from .policies import RandomPolicy, SffmPolicy, check_input_width, make_policy
-from .trajlog import agent_to_obj, read_trajectory
+from .forces import ospace_of
+from .geometry import ProxemicsConfig
+from .policies import RandomPolicy, SffmPolicy, make_policy
+from .trajlog import read_trajectory
 from .training import (evaluate_policy, make_env, mean_return,
                        relative_performance, rollout)
 
@@ -37,52 +37,37 @@ class SocialMetrics:
         return dataclasses.asdict(self)
 
 
-def _agent_pos(obj: dict) -> Vec2:
-    return Vec2(obj["x"], obj["y"])
-
-
 def episode_stats(initial_agents: list[dict], records: list[dict],
                   prox: ProxemicsConfig) -> dict:
     """Metrics of one episode from its header agents and step records."""
     if not records:
         raise ValueError("episode has no step records")
-    robot_path = [_agent_pos(initial_agents[0])]
-    sha_prev = [_agent_pos(a) for a in initial_agents[1:]]
-    total = 0.0
-    violations = 0
-    sha_disp = 0.0
-    for rec in records:
-        agents = rec["agents"]
-        robot = _agent_pos(agents[0])
-        robot_path.append(robot)
-        total += rec["reward"]["total"]
-        near = False
-        for j, a in enumerate(agents[1:]):
-            pos = _agent_pos(a)
-            sha_disp += (pos - sha_prev[j]).norm()
-            if (pos - robot).norm() <= prox.d_personal:
-                near = True
-            sha_prev[j] = pos
-        violations += 1 if near else 0
+    pos = np.array([[(a["x"], a["y"]) for a in agents] for agents in
+                    [initial_agents] + [rec["agents"] for rec in records]])
+    return _stats(pos, [rec["reward"]["total"] for rec in records],
+                  bool(records[-1]["success"]), prox)
 
-    last = records[-1]
-    success = bool(last["success"])
-    finals = [AgentState(id=a["id"], role=Role(a["role"]), position=_agent_pos(a),
-                         velocity=Vec2(a["vx"], a["vy"]), heading=a["theta"])
-              for a in last["agents"]]
-    ospace = estimate_ospace(finals[1:], prox.s_min)
-    formation_err = max(abs((a.position - ospace.center).norm() - ospace.radius)
-                        for a in finals)
+
+def _stats(pos: np.ndarray, totals: list[float], success: bool,
+           prox: ProxemicsConfig) -> dict:
+    """Metrics of one episode from the positions of the states it passed
+    through (T + 1, N, 2) and its per-step reward totals."""
+    step = np.diff(pos, axis=0)
+    moved = np.hypot(step[..., 0], step[..., 1])           # (T, N)
+    to_robot = pos[1:, 1:] - pos[1:, :1]
+    near = np.hypot(to_robot[..., 0], to_robot[..., 1]) <= prox.d_personal
+    center, radius = ospace_of(pos[-1, 1:], prox.s_min)
+    off = pos[-1] - center
     return {
-        "return": total,
-        "steps": len(records),
+        "return": sum(totals),
+        "steps": len(totals),
         "success": success,
-        "time_to_join": last["t"] if success else len(records),
-        "path_length": sum((b - a).norm()
-                           for a, b in zip(robot_path, robot_path[1:])),
-        "personal_violation_steps": violations,
-        "sha_total_displacement": sha_disp,
-        "final_formation_error": formation_err,
+        "time_to_join": len(totals),
+        "path_length": float(moved[:, 0].sum()),
+        "personal_violation_steps": int(near.any(axis=1).sum()),
+        "sha_total_displacement": float(moved[:, 1:].sum()),
+        "final_formation_error":
+            float(np.abs(np.hypot(off[:, 0], off[:, 1]) - radius).max()),
     }
 
 
@@ -115,14 +100,10 @@ def compute_metrics(paths: list[str | Path],
 
 
 def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
-    """episode_stats of a recorded rollout per seed, scored in memory from
-    the records a trajectory file would hold."""
-    stats = []
-    for seed in seeds:
-        res = rollout(env, policy, seed, record=True)
-        agents = [agent_to_obj(a) for a in res.initial_agents]
-        stats.append(episode_stats(agents, res.records, prox))
-    return stats
+    """episode_stats per seed of one recorded rollout of all seeds, from
+    the same positions and rewards its trajectory files would hold."""
+    return [_stats(res.track["pos"], res.track["total"].tolist(), res.success, prox)
+            for res in rollout(env, policy, seeds, record=True)]
 
 
 def _mean_return(stats: list[dict]) -> float:
@@ -161,9 +142,7 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
     evaluated: dict[str, list[dict]] = {}
     for spec in (policy_a, policy_b):
         if spec not in evaluated:
-            policy = make_policy(spec)
-            check_input_width(policy, cfg.episode.spawn.n_shas)
-            evaluated[spec] = live_stats(env, policy, seeds, prox)
+            evaluated[spec] = live_stats(env, make_policy(spec, cfg), seeds, prox)
 
     anchors = {}
     for name, policy in (("sffm", SffmPolicy()), ("random", RandomPolicy())):

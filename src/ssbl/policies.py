@@ -2,24 +2,27 @@
 uniform-random reference, plus checkpoint I/O.
 
 Network parameters are canonically float32 (that is what checkpoints store);
-forward passes run in float64 on cached upcast weights. `mlp_forward` is the
-one tanh MLP: the policy and the trainers both run it.
+forward passes run in float64 on upcast weights. `_run_layers` is the one
+tanh MLP: policies run it through `einsum`, whose rows do not depend on the
+batch around them; the trainers (`mlp_forward`) through faster BLAS matmul,
+whose rows do. A policy maps observations (B, L) to actions (B, 2).
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError
-from .env import Action, ApproachEnv, observation_length
-from .forces import ForceBreakdown, combined_force
-from .geometry import AgentState
+from .config import ConfigError, FullConfig, config_hash, default_config
+from .env import ApproachEnv, observation_length
 from .groups import DEFAULT_GAINS, ShaGains, field_turn
+
+log = logging.getLogger(__name__)
 
 # Inputs are meters / meters-per-second on a ~10 m floor; this keeps the
 # first-layer preactivations in the responsive range of tanh.
@@ -35,23 +38,25 @@ def param_count(layer_sizes: tuple[int, ...]) -> int:
 
 def unpack_layers(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views into a flat vector laid out per layer as W row-major,
-    then b."""
+    then b; a stack of flat vectors (..., n) gives stacked views."""
     layers = []
     i = 0
     for din, dout in zip(layer_sizes[:-1], layer_sizes[1:]):
-        w = flat[i:i + din * dout].reshape(dout, din)
+        w = flat[..., i:i + din * dout].reshape(*flat.shape[:-1], dout, din)
         i += din * dout
-        layers.append((w, flat[i:i + dout]))
+        layers.append((w, flat[..., i:i + dout]))
         i += dout
     return layers
 
 
-def _run_layers(layers, X: np.ndarray, squash_output: bool = True):
+def _run_layers(layers, X: np.ndarray, squash_output: bool = True,
+                subscripts: str | None = None):
+    """The tanh MLP: BLAS matmul, or `np.einsum(subscripts, W, h)`."""
     acts = [X]
     h = X
     last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
-        z = h @ w.T + b
+        z = (h @ w.T if subscripts is None else np.einsum(subscripts, w, h)) + b
         h = np.tanh(z) if (li < last or squash_output) else z
         acts.append(h)
     return h, acts
@@ -59,8 +64,16 @@ def _run_layers(layers, X: np.ndarray, squash_output: bool = True):
 
 def mlp_forward(flat: np.ndarray, layer_sizes, X: np.ndarray,
                 squash_output: bool = True):
-    """Batched tanh MLP. Returns (output, activation cache)."""
+    """Batched tanh MLP for the trainers. Returns (output, activation cache)."""
     return _run_layers(unpack_layers(flat, layer_sizes), X, squash_output)
+
+
+def population_layers(flats, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Float64 (W (P, out, in), b (P, 1, out)) per layer for P networks,
+    given as flat parameter rows (P, n)."""
+    return [(np.ascontiguousarray(w, np.float64),
+             np.ascontiguousarray(b[:, None, :], np.float64))
+            for w, b in unpack_layers(np.asarray(flats), layer_sizes)]
 
 
 @dataclass(slots=True, eq=False)
@@ -71,7 +84,6 @@ class PolicyParams:
     layer_sizes: tuple[int, ...]
     flat_params: np.ndarray
     activation: str = ACTIVATION
-    _layers: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -92,28 +104,10 @@ class PolicyParams:
         if self.activation != ACTIVATION:
             raise ValueError(f"unsupported activation {self.activation!r}")
 
-    def layers(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(W, b) pairs upcast to float64, cached per params object."""
-        if self._layers is None:
-            self._layers = unpack_layers(self.flat_params.astype(np.float64),
-                                         self.layer_sizes)
-        return self._layers
-
 
 def zero_params(layer_sizes: tuple[int, ...]) -> PolicyParams:
     return PolicyParams(tuple(layer_sizes),
                         np.zeros(param_count(tuple(layer_sizes)), np.float32))
-
-
-def policy_forward(params: PolicyParams, obs: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass; every layer is tanh, so outputs lie in
-    [-1, 1]^2."""
-    if obs.shape != (params.layer_sizes[0],):
-        raise ValueError(
-            f"observation length {obs.shape} does not match input layer "
-            f"{params.layer_sizes[0]}"
-        )
-    return _run_layers(params.layers(), obs * OBS_SCALE)[0]
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -153,78 +147,93 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:
 # -- the three policy kinds --------------------------------------------------
 
 
-def sffm_baseline_policy(robot: AgentState, breakdown: ForceBreakdown,
-                         gains: ShaGains = DEFAULT_GAINS) -> Action:
-    """Robot directly controlled by the conversation field: thrust along the
-    heading proportional to the force component, turn as an SHA would, with
-    the turn command clipped to [-1, 1]. The SHA force deadband is unused."""
-    f = breakdown.combined
-    a_fwd = max(-1.0, min(1.0, gains.gain_f * f.dot(robot.heading_unit())))
-    return Action(a_fwd, field_turn(breakdown, robot.heading, gains, 1.0))
+def sffm_baseline_policy(heading: np.ndarray, force: np.ndarray,
+                         d_e: np.ndarray, d_c: np.ndarray,
+                         gains: ShaGains = DEFAULT_GAINS) -> np.ndarray:
+    """Robots (headings (B,)) directly controlled by the field at them
+    (vectors (B, 2)): thrust along the heading proportional to the force
+    component, turn as an SHA would, with the turn command clipped to
+    [-1, 1]. The SHA force deadband is unused."""
+    along = force[..., 0] * np.cos(heading) + force[..., 1] * np.sin(heading)
+    a_fwd = np.clip(gains.gain_f * along, -1.0, 1.0)
+    return np.stack([a_fwd, field_turn(d_e, d_c, heading, gains, 1.0)], axis=-1)
 
 
 class NetworkPolicy:
-    """Deterministic policy backed by PolicyParams."""
+    """Deterministic policy backed by PolicyParams. A list of PolicyParams
+    makes a population: with P networks, network p drives the p-th block of
+    B / P consecutive lanes. A lane's action depends only on its observation
+    and its network's weights."""
 
-    def __init__(self, params: PolicyParams):
-        self.params = params
+    def __init__(self, params: PolicyParams | list[PolicyParams]):
+        self.params = [params] if isinstance(params, PolicyParams) else list(params)
+        self._layers = population_layers([p.flat_params for p in self.params],
+                                         self.params[0].layer_sizes)
 
-    def begin_episode(self, seed) -> None:
+    def begin_episode(self, seeds) -> None:
         pass
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> Action:
-        out = policy_forward(self.params, obs)
-        return Action(float(out[0]), float(out[1]))
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        x = obs.reshape(len(self._layers[0][0]), -1, obs.shape[-1]) * OBS_SCALE
+        out, _ = _run_layers(self._layers, x, subscripts="poi,pbi->pbo")
+        return out.reshape(-1, 2)
 
 
 class SffmPolicy:
-    """The force-field baseline, recomputing the robot's field each tick. It
-    always uses the default controller gains, whatever the SHAs use."""
+    """The force-field baseline, reading the field at the robot from the
+    env. It always uses the default controller gains, whatever the SHAs use."""
 
-    def begin_episode(self, seed) -> None:
+    def begin_episode(self, seeds) -> None:
         pass
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> Action:
-        robot = env.robot
-        bd = combined_force(robot.position, env.shas, env.prox, env.ospace)
-        return sffm_baseline_policy(robot, bd)
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        f = env.field
+        return sffm_baseline_policy(env.heading[:, 0], f.combined[:, 0],
+                                    f.d_e[:, 0], f.d_c[:, 0])
 
 
 RANDOM_POLICY_STREAM = 0x5EED
 
 
 class RandomPolicy:
-    """Uniform actions in [-1, 1]^2, seeded per episode."""
+    """Uniform actions in [-1, 1]^2 from one generator per episode, seeded
+    by the episode's seed."""
 
     def __init__(self):
-        self._rng = None
+        self._rngs = []
 
-    def begin_episode(self, seed) -> None:
-        material = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-        self._rng = np.random.default_rng([RANDOM_POLICY_STREAM] + [int(s) for s in material])
+    def begin_episode(self, seeds) -> None:
+        self._rngs = []
+        for seed in seeds:
+            material = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+            self._rngs.append(np.random.default_rng(
+                [RANDOM_POLICY_STREAM] + [int(s) for s in material]))
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> Action:
-        return Action(float(self._rng.uniform(-1.0, 1.0)),
-                      float(self._rng.uniform(-1.0, 1.0)))
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        return np.array([rng.uniform(-1.0, 1.0, 2) for rng in self._rngs])
 
 
-def make_policy(spec: str):
-    """Resolve a CLI policy spec: 'sffm', 'random', or a checkpoint path."""
+def make_policy(spec: str, cfg: FullConfig | None = None):
+    """Resolve a CLI policy spec: 'sffm', 'random', or a checkpoint path.
+
+    A checkpoint must take the observations of the run's config (default:
+    the default config; ConfigError otherwise); one trained under another
+    config is loaded with a warning.
+    """
     if spec == "sffm":
         return SffmPolicy()
     if spec == "random":
         return RandomPolicy()
-    params, _ = load_checkpoint(spec)
+    params, meta = load_checkpoint(spec)
+    cfg = cfg if cfg is not None else default_config()
+    n_shas = cfg.episode.spawn.n_shas
+    width = params.layer_sizes[0]
+    if width != observation_length(n_shas):
+        raise ConfigError(
+            f"checkpoint input width {width} does not match the "
+            f"{observation_length(n_shas)}-value observation of "
+            f"n_shas={n_shas}")
+    if meta["config_hash"] and meta["config_hash"] != config_hash(cfg):
+        log.warning("checkpoint %s was trained under config %s, this run "
+                    "uses %s", spec, meta["config_hash"], config_hash(cfg))
     return NetworkPolicy(params)
-
-
-def check_input_width(policy, n_shas: int) -> None:
-    """Raise ConfigError when a network policy's input layer does not take
-    the observations of an episode with n_shas SHAs."""
-    if isinstance(policy, NetworkPolicy):
-        width = policy.params.layer_sizes[0]
-        if width != observation_length(n_shas):
-            raise ConfigError(
-                f"checkpoint input width {width} does not match the "
-                f"{observation_length(n_shas)}-value observation of "
-                f"n_shas={n_shas}")

@@ -10,14 +10,17 @@ Five components accumulate over an episode:
   r5  negative work done by the field along each SHA's path (disturbance)
 
 Total per step:  w_e*(w1*r1 + w2*r2 + w3*r3 + w4*r4) + w_a*w5*r5.
+
+The increments take floats or arrays; the environment passes one entry per
+episode of its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
-from .geometry import Vec2
+import numpy as np
 
 
 @dataclass(slots=True)
@@ -49,44 +52,43 @@ class RewardWeights:
 
 @dataclass(slots=True)
 class RewardBreakdown:
-    r1: float = 0.0
-    r2: float = 0.0
-    r3: float = 0.0
-    r4: float = 0.0
-    r5: float = 0.0
-    total: float = 0.0
+    r1: float | np.ndarray = 0.0
+    r2: float | np.ndarray = 0.0
+    r3: float | np.ndarray = 0.0
+    r4: float | np.ndarray = 0.0
+    r5: float | np.ndarray = 0.0
+    total: float | np.ndarray = 0.0
 
 
-def group_forming_increment(field_at: Callable[[Vec2], Vec2],
-                            u_prev: Vec2, u_next: Vec2) -> float:
-    """Midpoint-rule increment of the field line integral along one step:
-    field((u_prev+u_next)/2) . (u_next - u_prev)."""
-    mid = Vec2((u_prev.x + u_next.x) * 0.5, (u_prev.y + u_next.y) * 0.5)
+def group_forming_increment(field_at: Callable[[np.ndarray], np.ndarray],
+                            u_prev: np.ndarray, u_next: np.ndarray) -> np.ndarray:
+    """Midpoint-rule increment of the field line integral along each step
+    from u_prev to u_next (..., 2): field((u_prev+u_next)/2) . (u_next - u_prev).
+    `field_at` maps the midpoints (..., 2) to the field there."""
+    f = field_at((u_prev + u_next) * 0.5)
     du = u_next - u_prev
-    return field_at(mid).dot(du)
+    return f[..., 0] * du[..., 0] + f[..., 1] * du[..., 1]
 
 
-def non_increasing_increment(work_rate: float, dt: float) -> float:
+def non_increasing_increment(work_rate, dt: float):
     """dt while the field's work rate is non-negative, else 0."""
-    return dt if work_rate >= 0.0 else 0.0
+    return np.where(work_rate >= 0.0, dt, 0.0)
 
 
 def time_penalty_increment(dt: float) -> float:
     return -dt
 
 
-def success_bonus(success: bool, bonus: float = 10.0) -> float:
-    return bonus if success else 0.0
+def success_bonus(success, bonus: float = 10.0):
+    return np.where(success, bonus, 0.0)
 
 
-def sha_disturbance_increment(per_sha: Iterable[tuple[Vec2, Vec2]]) -> float:
-    """-sum over SHAs of (force on the SHA) . (its displacement this step)."""
-    total = 0.0
-    for force, disp in per_sha:
-        total += force.dot(disp)
-    return -total
+def sha_disturbance_increment(work: np.ndarray) -> np.ndarray:
+    """-sum over SHAs (last axis) of the field's work along each SHA's step
+    (`group_forming_increment` of its path)."""
+    return -np.sum(work, axis=-1)
 
 
-def total_reward(b: RewardBreakdown, w: RewardWeights) -> float:
+def total_reward(b: RewardBreakdown, w: RewardWeights):
     return (w.w_e * (w.w1 * b.r1 + w.w2 * b.r2 + w.w3 * b.r3 + w.w4 * b.r4)
             + w.w_a * w.w5 * b.r5)

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FullConfig, TrainConfig
-from .env import Action, ApproachEnv, observation_length
+from .env import ApproachEnv, encode_observation, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
 from .policies import (OBS_SCALE, NetworkPolicy, PolicyParams, RandomPolicy,
-                       SffmPolicy, mlp_forward, param_count, unpack_layers)
-from .trajlog import transition_to_record
+                       SffmPolicy, mlp_forward, param_count, population_layers,
+                       unpack_layers)
+from .trajlog import REWARD_KEYS, episode_records
 
 log = logging.getLogger(__name__)
 
@@ -46,37 +47,70 @@ def make_env(cfg: FullConfig) -> ApproachEnv:
 # -- rollouts and evaluation --------------------------------------------------
 
 
+# a recorded rollout keeps, per episode, the states it passed through (the
+# initial one first: one row more than it has ticks) and, per tick, the
+# action as the policy gave it and the reward components
+STATES = ("pos", "vel", "heading")
+STEPS = ("action", *REWARD_KEYS)
+
+
 @dataclass(slots=True)
 class RolloutResult:
+    """One episode of a rollout. A recorded one also keeps its `track`, one
+    array per STATES and STEPS name, from which its step records and
+    observations are cut when read."""
+
     seed: object
     ret: float
     steps: int
     success: bool
-    initial_agents: list
-    records: list
+    track: dict | None = None
+
+    @property
+    def records(self) -> list[dict]:
+        return episode_records(self.track, self.success)
+
+    def observations(self, world) -> np.ndarray:
+        """The observations (steps, L) the policy acted on."""
+        return encode_observation(*(self.track[k][:-1] for k in STATES), world)
 
 
-def rollout(env: ApproachEnv, policy, seed, record: bool = False) -> RolloutResult:
-    """Run one episode; with `record`, also build the trajectory step record
-    of every tick."""
-    obs = env.reset(seed)
-    initial_agents = env.agents
-    records = []
-    policy.begin_episode(seed)
-    ret = 0.0
-    steps = 0
-    while True:
+def _per_lane(rows, counts) -> list[tuple]:
+    """Rows (lane, *columns) gathered tick by tick, regrouped into one block
+    of consecutive rows per lane, counts[b] rows for lane b."""
+    lane, *columns = map(np.concatenate, zip(*rows))
+    order = np.argsort(lane, kind="stable")
+    return list(zip(*(np.split(c[order], np.cumsum(counts)[:-1]) for c in columns)))
+
+
+def rollout(env: ApproachEnv, policy, seeds, record: bool = False
+            ) -> list[RolloutResult]:
+    """Run one episode per seed, all in one lockstep batch; with `record`,
+    also keep each episode's track. This is the one loop that steps the
+    environment."""
+    obs = env.reset(seeds)
+    policy.begin_episode(env.seeds)
+    lanes = np.arange(len(env.seeds))
+    states = [(lanes, env.pos, env.vel, env.heading)]
+    steps = []
+    ret = np.zeros(len(lanes))
+    while not env.done.all():
+        running = lanes[~env.done]
         action = policy.act(obs, env)
-        obs, r, done, bd = env.step(action)
+        obs, reward, _, bd = env.step(action)
+        ret += reward
         if record:
-            records.append(transition_to_record(
-                env.t, env.agents, action.clamped(), bd, done, env.success))
-        ret += r
-        steps += 1
-        if done:
-            break
-    return RolloutResult(seed=seed, ret=ret, steps=steps, success=env.success,
-                         initial_agents=initial_agents, records=records)
+            states.append((running, env.pos[running], env.vel[running],
+                           env.heading[running]))
+            steps.append((running, action[running],
+                          *(getattr(bd, k)[running] for k in REWARD_KEYS)))
+    tracks = [None] * len(lanes)
+    if record:
+        tracks = [dict(zip(STATES + STEPS, s + a)) for s, a in
+                  zip(_per_lane(states, env.t + 1), _per_lane(steps, env.t))]
+    return [RolloutResult(seed, float(ret[b]), int(env.t[b]),
+                          bool(env.success[b]), tracks[b])
+            for b, seed in enumerate(env.seeds)]
 
 
 def eval_seeds(master_seed: int, n: int) -> list[list[int]]:
@@ -85,7 +119,7 @@ def eval_seeds(master_seed: int, n: int) -> list[list[int]]:
 
 
 def evaluate_policy(env: ApproachEnv, policy, seeds) -> list[RolloutResult]:
-    return [rollout(env, policy, s) for s in seeds]
+    return rollout(env, policy, seeds)
 
 
 def mean_return(results: list[RolloutResult]) -> float:
@@ -141,10 +175,10 @@ def _finalize_report(algo, cfg, env, layer_sizes, finalists, iter_log,
     """Pick the finalist with the best held-out return and assemble the
     report with baseline/random anchors on the same seeds."""
     seeds = eval_seeds(cfg.master_seed, cfg.eval_episodes)
-    scored = []
-    for params in finalists:
-        results = evaluate_policy(env, NetworkPolicy(params), seeds)
-        scored.append((mean_return(results), params))
+    n = len(seeds)
+    results = evaluate_policy(env, NetworkPolicy(finalists), seeds * len(finalists))
+    scored = [(mean_return(results[k * n:(k + 1) * n]), params)
+              for k, params in enumerate(finalists)]
     best_return, best_params = max(scored, key=lambda rp: rp[0])
 
     baseline = mean_return(evaluate_policy(env, SffmPolicy(), seeds))
@@ -181,20 +215,10 @@ def distill_baseline(layer_sizes, full_cfg: FullConfig, master_seed: int,
     actions over states it visits). Used to warm-start the policy search so
     refinement begins from a competent, non-intrusive controller instead of
     from scratch."""
-    env = make_env(full_cfg)
-    policy = SffmPolicy()
-    xs, ys = [], []
-    for i in range(episodes):
-        obs = env.reset([master_seed, 6, i])
-        while True:
-            action = policy.act(obs, env)
-            xs.append(obs)
-            ys.append((action.a_fwd, action.a_turn))
-            obs, _, done, _ = env.step(action)
-            if done:
-                break
-    X = np.asarray(xs) * OBS_SCALE
-    Y = np.asarray(ys)
+    results = rollout(make_env(full_cfg), SffmPolicy(),
+                      [[master_seed, 6, i] for i in range(episodes)], record=True)
+    X = np.concatenate([r.observations(full_cfg.world) for r in results]) * OBS_SCALE
+    Y = np.concatenate([r.track["action"] for r in results])
 
     rng = np.random.default_rng([master_seed, 7])
     flat = _init_mlp(rng, layer_sizes)
@@ -240,20 +264,20 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     n_elite = max(1, int(cfg.population * cfg.elite_fraction))
 
     for t in range(cfg.iterations):
-        noise = rng.standard_normal((cfg.population, n_params))
-        thetas = (mu + sigma * noise).astype(np.float32)
+        thetas = (mu + sigma * rng.standard_normal((cfg.population, n_params))
+                  ).astype(np.float32)
         seeds = [[cfg.master_seed, 1, t, e] for e in range(cfg.episodes_per_eval)]
 
-        returns = np.empty(cfg.population)
-        for i in range(cfg.population):
-            policy = NetworkPolicy(PolicyParams(layer_sizes, thetas[i]))
-            rets = [rollout(env, policy, s).ret for s in seeds]
-            r = float(np.mean(rets))
-            if not math.isfinite(r):
-                log.warning("CEM iteration %d: candidate %d returned %r, discarded",
-                            t, i, r)
-                r = -math.inf
-            returns[i] = r
+        # the whole population in one batch: candidate i drives lanes
+        # i * E .. i * E + E - 1, one per episode seed
+        policy = NetworkPolicy([PolicyParams(layer_sizes, th) for th in thetas])
+        rets = np.array([r.ret for r in rollout(env, policy, seeds * cfg.population)])
+        returns = np.array([float(np.mean(r)) for r in rets.reshape(cfg.population, -1)])
+        for i in np.flatnonzero(~np.isfinite(returns)):
+            log.warning("CEM iteration %d: candidate %d returned %r, discarded",
+                        t, i, returns[i])
+            returns[i] = -math.inf
+        del policy
 
         order = np.argsort(-returns, kind="stable")
         elite = thetas[order[:n_elite]].astype(np.float64)
@@ -355,9 +379,11 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
                 lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Advantages and value targets for one finished episode.
 
-    `values` has one extra trailing entry for the state after the last step;
-    it is 0 for terminal episodes by convention here (episodes end either in
-    success or at the horizon, both treated as terminal).
+    `values` has one extra trailing entry for the state after the last step:
+    0 when the episode ended in success (a true terminal state), and that
+    state's value estimate when the episode was cut at the horizon, since
+    the task would have gone on from there (Pardo et al., "Time Limits in
+    Reinforcement Learning", arXiv:1712.00378).
     """
     T = rewards.shape[0]
     adv = np.zeros(T)
@@ -419,6 +445,24 @@ def ppo_gradient_check(seed: int = 0, trials: int = 5,
     return worst
 
 
+class _GaussianPolicy(NetworkPolicy):
+    """PPO's behaviour policy: the network's mean action (float64 weights)
+    plus Gaussian noise with std exp(log_std), one generator per episode."""
+
+    def __init__(self, flat: np.ndarray, layer_sizes, log_std: np.ndarray,
+                 noise_seeds):
+        self._layers = population_layers(flat[None], layer_sizes)
+        self._std = np.exp(log_std)
+        self._noise_seeds = noise_seeds
+
+    def begin_episode(self, seeds) -> None:
+        self._rngs = [np.random.default_rng(s) for s in self._noise_seeds]
+
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        noise = np.array([rng.standard_normal(2) for rng in self._rngs])
+        return super().act(obs, env) + self._std * noise
+
+
 def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, TrainReport]:
     """PPO with the clipped surrogate and generalized advantage estimation.
 
@@ -446,48 +490,34 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     iter_log: list[dict] = []
 
     for it in range(cfg.iterations):
-        obs_l, act_l, logp_l, adv_l, ret_l, ep_returns = [], [], [], [], [], []
-        for ep in range(cfg.rollout_episodes):
-            seed = [cfg.master_seed, 3, it, ep]
-            noise_rng = np.random.default_rng([cfg.master_seed, 4, it, ep])
-            obs = env.reset(seed)
-            o_ep, a_ep, r_ep = [], [], []
-            ep_ret = 0.0
-            while True:
-                mean, _ = mlp_forward(flat, layer_sizes, obs[None, :] * OBS_SCALE)
-                a = mean[0] + np.exp(log_std) * noise_rng.standard_normal(2)
-                o_ep.append(obs)
-                a_ep.append(a)
-                obs, r, done, _ = env.step(Action(float(a[0]), float(a[1])))
-                r_ep.append(r)
-                ep_ret += r
-                if done:
-                    break
-            o_ep = np.asarray(o_ep)
-            a_ep = np.asarray(a_ep)
-            mean, _ = mlp_forward(flat, layer_sizes, o_ep * OBS_SCALE)
-            logp = gaussian_logp(a_ep, mean, log_std)
-            v, _ = mlp_forward(vflat, value_sizes, o_ep * OBS_SCALE,
-                               squash_output=False)
-            values = np.append(v[:, 0], 0.0)
-            adv, ret = compute_gae(np.asarray(r_ep), values,
-                                   cfg.discount, cfg.gae_lambda)
-            obs_l.append(o_ep)
-            act_l.append(a_ep)
-            logp_l.append(logp)
-            adv_l.append(adv)
-            ret_l.append(ret)
-            ep_returns.append(ep_ret)
-
-        obs_b = np.concatenate(obs_l)
-        act_b = np.concatenate(act_l)
-        logp_b = np.concatenate(logp_l)
-        adv_b = np.concatenate(adv_l)
-        ret_b = np.concatenate(ret_l)
+        episodes = range(cfg.rollout_episodes)
+        behaviour = _GaussianPolicy(
+            flat, layer_sizes, log_std,
+            [[cfg.master_seed, 4, it, ep] for ep in episodes])
+        results = rollout(env, behaviour,
+                          [[cfg.master_seed, 3, it, ep] for ep in episodes],
+                          record=True)
+        ep_returns = [res.ret for res in results]
+        obs_b = np.concatenate([res.observations(full_cfg.world) for res in results])
+        act_b = np.concatenate([res.track["action"] for res in results])
+        mean, _ = mlp_forward(flat, layer_sizes, obs_b * OBS_SCALE)
+        logp_b = gaussian_logp(act_b, mean, log_std)
+        # values of every visited state, then of the states the episodes ended in
+        v, _ = mlp_forward(vflat, value_sizes,
+                           np.concatenate([obs_b, env.observe()]) * OBS_SCALE,
+                           squash_output=False)
+        n = obs_b.shape[0]
+        ends = np.cumsum([res.steps for res in results])[:-1]
+        gae = [compute_gae(res.track["total"],
+                           # success is terminal; an episode cut at the
+                           # horizon bootstraps from the state it was cut in
+                           np.append(v_ep, 0.0 if res.success else v_end),
+                           cfg.discount, cfg.gae_lambda)
+               for res, v_ep, v_end in zip(results, np.split(v[:n, 0], ends), v[n:, 0])]
+        adv_b, ret_b = (np.concatenate(x) for x in zip(*gae))
         if adv_b.std() > 1e-8:
             adv_b = (adv_b - adv_b.mean()) / adv_b.std()
 
-        n = obs_b.shape[0]
         for epoch in range(cfg.epochs):
             perm = np.random.default_rng(
                 [cfg.master_seed, 5, it, epoch]).permutation(n)

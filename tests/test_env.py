@@ -5,10 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import as_arrays, lane_agents
 from ssbl.config import EpisodeConfig, default_config
-from ssbl.env import (Action, ApproachEnv, EpisodeDoneError,
-                      encode_observation, observation_length, success_instant)
-from ssbl.forces import OSpace, estimate_ospace
+from ssbl.env import (ApproachEnv, EpisodeDoneError, encode_observation,
+                      observation_length, success_instant)
+from ssbl.forces import OSpace, estimate_ospace, field_at, neighbours_of
 from ssbl.geometry import (AgentState, Role, Vec2, WorldConfig, wrap_angle)
 from ssbl.groups import GroupSpawnSpec
 from ssbl.rewards import RewardWeights
@@ -21,6 +22,15 @@ def fresh_env(**episode_kwargs) -> ApproachEnv:
     for key, value in episode_kwargs.items():
         setattr(cfg.episode, key, value)
     return make_env(cfg.validate())
+
+
+def act(a_fwd, a_turn):
+    """One lane's action."""
+    return np.array([[a_fwd, a_turn]])
+
+
+def robot(env):
+    return lane_agents(env, 0)[0]
 
 
 def isolated_env(weights=None) -> ApproachEnv:
@@ -38,26 +48,27 @@ def isolated_env(weights=None) -> ApproachEnv:
 
 def test_reset_is_deterministic():
     env1, env2 = fresh_env(), fresh_env()
-    o1, o2 = env1.reset(123), env2.reset(123)
+    o1, o2 = env1.reset([123]), env2.reset([123])
     assert np.array_equal(o1, o2)
-    assert env1.agents == env2.agents
-    o3 = env1.reset(124)
+    assert lane_agents(env1, 0) == lane_agents(env2, 0)
+    o3 = env1.reset([124])
     assert not np.array_equal(o1, o3)
 
 
 def test_observation_length_two_shas():
     env = fresh_env()
-    assert env.reset(0).shape == (22,)
+    assert env.reset([0]).shape == (1, 22)
     assert observation_length(2) == 22
     assert observation_length(3) == 28
 
 
 def test_reset_respects_min_robot_distance():
     env = fresh_env()
-    for seed in range(20):
-        env.reset(seed)
-        centroid = estimate_ospace(env.shas).center
-        assert (env.robot.position - centroid).norm() >= env.episode.spawn.robot_min_dist
+    env.reset(range(20))
+    for lane in range(20):
+        agents = lane_agents(env, lane)
+        centroid = estimate_ospace(agents[1:]).center
+        assert (agents[0].position - centroid).norm() >= env.episode.spawn.robot_min_dist
 
 
 # -- step ------------------------------------------------------------------------
@@ -66,109 +77,131 @@ def test_reset_respects_min_robot_distance():
 def test_zero_action_isolated_robot_reward_formula():
     w = RewardWeights(w2=0.3, w3=0.1)
     env = isolated_env(weights=w)
-    env.reset(5)
-    start = env.robot.position
-    _, r, _, bd = env.step(Action(0.0, 0.0))
-    assert env.robot.position == start
-    assert bd.r1 == 0.0 and bd.r5 == 0.0 and bd.r4 == 0.0
-    assert r == w.w_e * (w.w2 * 0.1 - w.w3 * 0.1)
+    env.reset([5])
+    start = robot(env).position
+    _, r, _, bd = env.step(act(0.0, 0.0))
+    assert robot(env).position == start
+    assert bd.r1[0] == 0.0 and bd.r5[0] == 0.0 and bd.r4[0] == 0.0
+    assert r[0] == w.w_e * (w.w2 * 0.1 - w.w3 * 0.1)
 
 
 def test_cumulative_reward_is_sum_of_step_totals():
     env = fresh_env()
-    env.reset(3)
+    env.reset([3])
     policy_rng = np.random.default_rng(0)
     total = 0.0
     history = []
     done = False
     while not done:
-        a = Action(*policy_rng.uniform(-1.0, 1.0, 2))
-        _, r, done, bd = env.step(a)
-        total += r
-        history.append(bd.total)
+        a = act(*policy_rng.uniform(-1.0, 1.0, 2))
+        _, r, (done,), bd = env.step(a)
+        total += r[0]
+        history.append(bd.total[0])
     assert total == sum(history)
 
 
 def test_episode_ends_by_max_steps():
     env = fresh_env(max_steps=40)
-    env.reset(1)
+    env.reset([1])
     for t in range(40):
-        _, _, done, _ = env.step(Action(0.0, 0.0))
+        _, _, (done,), _ = env.step(act(0.0, 0.0))
         assert done == (t == 39) or done  # done may come early only via success
-    assert env.t <= 40
-    assert env.done
+    assert env.t[0] <= 40
+    assert env.done[0]
 
 
 def test_step_after_done_raises():
     env = fresh_env(max_steps=12)
-    env.reset(2)
+    env.reset([2])
     done = False
     while not done:
-        _, _, done, _ = env.step(Action(0.0, 0.0))
+        _, _, (done,), _ = env.step(act(0.0, 0.0))
     with pytest.raises(EpisodeDoneError):
-        env.step(Action(0.0, 0.0))
+        env.step(act(0.0, 0.0))
 
 
 def test_actions_clamped_on_entry():
     env = fresh_env()
-    env.reset(9)
-    env.step(Action(5.0, -7.0))  # must not violate integrator preconditions
-    assert env.robot.speed() <= env.world.v_max
+    env.reset([9])
+    env.step(act(5.0, -7.0))  # must not violate integrator preconditions
+    assert robot(env).speed() <= env.world.v_max
 
 
 # -- success --------------------------------------------------------------------
+
+
+def on_ring(robot, ospace, band, angle):
+    """success_instant of one robot under one OSpace."""
+    return bool(success_instant(np.array(robot.position), np.array(robot.heading),
+                                np.array(ospace.center), np.array(ospace.radius),
+                                band, angle))
 
 
 def test_success_instant_geometry():
     ospace = OSpace(Vec2(5.0, 5.0), 1.0)
     on_ring_facing = AgentState(0, Role.ROBOT, Vec2(5.0, 4.0),
                                 Vec2(0.0, 0.0), math.pi / 2.0)
-    assert success_instant(on_ring_facing, ospace, 0.3, math.pi / 6.0)
+    assert on_ring(on_ring_facing, ospace, 0.3, math.pi / 6.0)
     facing_away = replace(on_ring_facing, heading=-math.pi / 2.0)
-    assert not success_instant(facing_away, ospace, 0.3, math.pi / 6.0)
+    assert not on_ring(facing_away, ospace, 0.3, math.pi / 6.0)
     off_ring = replace(on_ring_facing, position=Vec2(5.0, 2.0))
-    assert not success_instant(off_ring, ospace, 0.3, math.pi / 6.0)
+    assert not on_ring(off_ring, ospace, 0.3, math.pi / 6.0)
     inside = replace(on_ring_facing, position=Vec2(5.0, 4.95))
-    assert not success_instant(inside, ospace, 0.3, math.pi / 6.0)
+    assert not on_ring(inside, ospace, 0.3, math.pi / 6.0)
+
+
+def _move_robot(env, pos, vel=None, heading=None):
+    """Put lane 0's robot somewhere else, then refresh the field the env
+    keeps for the current state."""
+    env.pos[0, 0] = pos
+    if vel is not None:
+        env.vel[0, 0] = vel
+    if heading is not None:
+        env.heading[0, 0] = heading
+    env.field = field_at(env.pos, neighbours_of(env.pos), env.prox,
+                         env.center, env.radius)
 
 
 def _teleport_robot_to_ring(env):
-    ospace = env.ospace
-    pos = Vec2(ospace.center.x, ospace.center.y - ospace.radius)
-    heading = (ospace.center - pos).heading()
-    env.agents[0] = replace(env.robot, position=pos, velocity=Vec2(0.0, 0.0),
-                            heading=heading)
+    center = Vec2(*env.center[0].tolist())
+    pos = Vec2(center.x, center.y - float(env.radius[0]))
+    _move_robot(env, pos, (0.0, 0.0), (center - pos).heading())
 
 
 def test_success_requires_consecutive_hold():
     env = fresh_env(success_hold=3)
-    env.reset(11)
+    env.reset([11])
     _teleport_robot_to_ring(env)
     steps = 0
     done = False
     while not done:
-        _, _, done, bd = env.step(Action(0.0, 0.0))
+        _, _, (done,), bd = env.step(act(0.0, 0.0))
         steps += 1
-    assert env.success
+    assert env.success[0]
     assert steps == 3
-    assert bd.r4 == env.episode.weights.success_bonus
+    assert bd.r4[0] == env.episode.weights.success_bonus
 
 
 def test_hold_counter_resets_on_bad_step():
     env = fresh_env(success_hold=4)
-    env.reset(11)
+    env.reset([11])
     _teleport_robot_to_ring(env)
-    env.step(Action(0.0, 0.0))
-    env.step(Action(0.0, 0.0))
-    assert env._hold == 2
+    env.step(act(0.0, 0.0))
+    env.step(act(0.0, 0.0))
+    assert env.hold[0] == 2
     # yank the robot off the ring for one step
-    env.agents[0] = replace(env.robot, position=Vec2(1.0, 1.0))
-    env.step(Action(0.0, 0.0))
-    assert env._hold == 0
-    assert not env.success
+    _move_robot(env, (1.0, 1.0))
+    env.step(act(0.0, 0.0))
+    assert env.hold[0] == 0
+    assert not env.success[0]
 
 
 # -- observation encoding ----------------------------------------------------------
+
+
+def encode(agents, world):
+    """The observation of one lane holding these agents."""
+    return encode_observation(*as_arrays(agents), world)[0]
 
 
 def test_sha_ahead_encodes_to_unit_x():
@@ -177,7 +210,7 @@ def test_sha_ahead_encodes_to_unit_x():
         robot = AgentState(0, Role.ROBOT, Vec2(5.0, 5.0), Vec2(0.0, 0.0), heading)
         ahead = Vec2(5.0 + math.cos(heading), 5.0 + math.sin(heading))
         sha = AgentState(1, Role.SHA, ahead, Vec2(0.0, 0.0), 0.0)
-        obs = encode_observation([robot, sha], world)
+        obs = encode([robot, sha], world)
         assert abs(obs[6] - 1.0) < 1e-12   # SHA block x
         assert abs(obs[7]) < 1e-12         # SHA block y
 
@@ -186,7 +219,7 @@ def test_robot_block_is_origin_and_identity_heading():
     world = WorldConfig()
     robot = AgentState(0, Role.ROBOT, Vec2(2.0, 7.0), Vec2(0.3, -0.2), 0.9)
     sha = AgentState(1, Role.SHA, Vec2(3.0, 7.0), Vec2(0.0, 0.0), 0.0)
-    obs = encode_observation([robot, sha], world)
+    obs = encode([robot, sha], world)
     assert obs[0] == 0.0 and obs[1] == 0.0
     assert abs(obs[4] - 1.0) < 1e-15 and abs(obs[5]) < 1e-15
     # velocity is the world velocity rotated into the ego frame
@@ -211,8 +244,8 @@ def test_rigid_world_rotation_leaves_ego_blocks_unchanged():
                            velocity=a.velocity.rotated(ang),
                            heading=wrap_angle(a.heading + ang))
                    for a in agents]
-        o1 = encode_observation(agents, world)
-        o2 = encode_observation(rotated, world)
+        o1 = encode(agents, world)
+        o2 = encode(rotated, world)
         np.testing.assert_allclose(o1[:-4], o2[:-4], atol=1e-9)
 
 
@@ -225,46 +258,45 @@ class ReplayPolicy:
     def __init__(self, actions):
         self.actions = actions
 
-    def begin_episode(self, seed) -> None:
+    def begin_episode(self, seeds) -> None:
         self._next = iter(self.actions)
 
-    def act(self, obs, env) -> Action:
-        return next(self._next)
+    def act(self, obs, env):
+        return np.array([next(self._next)])
 
 
 def test_replay_reproduces_log_bit_exactly():
     rng = np.random.default_rng(2)
-    actions = [Action(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)))
+    actions = [[float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))]
                for _ in range(default_config().episode.max_steps)]
-    res1 = rollout(fresh_env(), ReplayPolicy(actions), [7, 3], record=True)
+    (res1,) = rollout(fresh_env(), ReplayPolicy(actions), [[7, 3]], record=True)
     log1 = [json.dumps(rec) for rec in res1.records]
-    assert [rec["action"] for rec in res1.records] == \
-        [[a.a_fwd, a.a_turn] for a in actions[:res1.steps]]
+    assert [rec["action"] for rec in res1.records] == actions[:res1.steps]
 
-    res2 = rollout(fresh_env(), ReplayPolicy(actions), [7, 3], record=True)
+    (res2,) = rollout(fresh_env(), ReplayPolicy(actions), [[7, 3]], record=True)
     log2 = [json.dumps(rec) for rec in res2.records]
     assert log1 == log2
 
 
 def test_random_policy_rollout_is_deterministic():
     env = fresh_env()
-    r1 = rollout(env, RandomPolicy(), [5, 0])
-    r2 = rollout(env, RandomPolicy(), [5, 0])
+    (r1,) = rollout(env, RandomPolicy(), [[5, 0]])
+    (r2,) = rollout(env, RandomPolicy(), [[5, 0]])
     assert r1.ret == r2.ret and r1.steps == r2.steps
 
 
 def test_r2_bounded_and_r3_exact_over_episode():
     env = fresh_env(max_steps=80)
-    env.reset(6)
+    env.reset([6])
     rng = np.random.default_rng(1)
     r2_sum = r3_sum = 0.0
     steps = 0
     done = False
     while not done:
-        _, _, done, bd = env.step(Action(*rng.uniform(-1.0, 1.0, 2)))
-        assert bd.r2 in (0.0, env.world.dt)
-        r2_sum += bd.r2
-        r3_sum += bd.r3
+        _, _, (done,), bd = env.step(act(*rng.uniform(-1.0, 1.0, 2)))
+        assert bd.r2[0] in (0.0, env.world.dt)
+        r2_sum += bd.r2[0]
+        r3_sum += bd.r3[0]
         steps += 1
     assert 0.0 <= r2_sum <= steps * env.world.dt + 1e-12
     assert abs(r3_sum - (-steps * env.world.dt)) < 1e-9

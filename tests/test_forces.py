@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssbl.forces import ForceBreakdown, OSpace, combined_force, estimate_ospace
+from ssbl.forces import (ForceBreakdown, OSpace, combined_force,
+                         estimate_ospace, field_at)
 from ssbl.geometry import (EPS_DIR, ZERO2, AgentState, ProxemicsConfig, Role,
                            Vec2)
 
@@ -172,7 +173,9 @@ def test_combined_force_matches_reference_any_radii(p, neighbors, center, radii)
     assert_matches_reference(p, neighbors, OSpace(Vec2(*center), 1.0), prox)
 
 
-@pytest.mark.parametrize("p,neighbors,center", [
+# degenerate configurations: coincident agents, symmetric intruders, empty
+# zones, the point at the centroid or the o-space center, neighbours on radii
+DEGENERATE = [
     ((5.0, 5.0), [(5.0, 5.0), (5.0, 5.0)], (6.0, 5.0)),
     ((5.0, 5.0), [(5.5, 5.0), (5.5, 5.0)], (6.0, 5.0)),
     ((0.0, 0.0), [(0.5, 0.0), (-0.5, 0.0)], (1.0, 1.0)),
@@ -187,13 +190,61 @@ def test_combined_force_matches_reference_any_radii(p, neighbors, center, radii)
     ((0.0, 0.0), [(1.2, 0.0)], (1.0, 0.0)),
     ((0.0, 0.0), [(0.0, 3.6)], (1.0, 0.0)),
     ((0.0, 0.0), [(-7.6, 0.0)], (1.0, 0.0)),
-], ids=["coincident-agents", "coincident-neighbors", "symmetric-intruders",
-        "four-symmetric-intruders", "no-neighbors", "empty-zones",
-        "public-only", "social-band", "at-social-centroid",
-        "at-ospace-center", "on-all-radii", "on-personal-radius",
-        "on-social-radius", "on-public-radius"])
+]
+DEGENERATE_IDS = ["coincident-agents", "coincident-neighbors",
+                  "symmetric-intruders", "four-symmetric-intruders",
+                  "no-neighbors", "empty-zones", "public-only", "social-band",
+                  "at-social-centroid", "at-ospace-center", "on-all-radii",
+                  "on-personal-radius", "on-social-radius", "on-public-radius"]
+
+
+@pytest.mark.parametrize("p,neighbors,center", DEGENERATE, ids=DEGENERATE_IDS)
 def test_combined_force_matches_reference_degenerate(p, neighbors, center):
     assert_matches_reference(p, neighbors, OSpace(Vec2(*center), 1.5))
+
+
+# -- the array kernel against combined_force ---------------------------------
+
+
+def assert_kernel_matches(p, neighbors, ospace, prox=PROX):
+    """field_at at one point equals combined_force, field by field, to 1e-12."""
+    want = combined_force(Vec2(*p), [sha(i + 1, x, y) for i, (x, y)
+                                     in enumerate(neighbors)], prox, ospace)
+    got = field_at(np.array([p]), np.array(neighbors).reshape(-1, 1, 2), prox,
+                   np.array(ospace.center), np.array(ospace.radius))
+    for f in dataclasses.fields(ForceBreakdown):
+        np.testing.assert_allclose(getattr(got, f.name)[0], getattr(want, f.name),
+                                   rtol=0.0, atol=1e-12, err_msg=f.name)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=point, neighbors=st.lists(point, max_size=6), center=point,
+       ospace_radius=st.floats(0.5, 3.0),
+       radii=st.lists(st.floats(0.1, 9.0), min_size=3, max_size=3, unique=True))
+def test_kernel_matches_combined_force(p, neighbors, center, ospace_radius, radii):
+    prox = ProxemicsConfig(*sorted(radii))
+    assert_kernel_matches(p, neighbors, OSpace(Vec2(*center), ospace_radius), prox)
+    assert_kernel_matches(p, neighbors, OSpace(Vec2(*center), ospace_radius))
+
+
+@pytest.mark.parametrize("p,neighbors,center", DEGENERATE, ids=DEGENERATE_IDS)
+def test_kernel_matches_combined_force_degenerate(p, neighbors, center):
+    assert_kernel_matches(p, neighbors, OSpace(Vec2(*center), 1.5))
+
+
+def test_kernel_rows_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.0, 10.0, (1024, 3, 2))
+    neighbours = rng.uniform(0.0, 10.0, (2, 1024, 3, 2))
+    center, radius = rng.uniform(3.0, 7.0, (1024, 2)), rng.uniform(0.5, 2.0, 1024)
+    whole = field_at(points, neighbours, PROX, center, radius)
+    for b in (1, 2, 7, 64, 128):
+        for k in (0, b - 1):
+            part = field_at(points[k:b], neighbours[:, k:b], PROX, center[k:b],
+                            radius[k:b])
+            for f in dataclasses.fields(ForceBreakdown):
+                got, want = getattr(part, f.name), getattr(whole, f.name)
+                assert got[0].tobytes() == want[k].tobytes()
 
 
 # -- zones --------------------------------------------------------------------

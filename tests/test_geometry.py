@@ -1,15 +1,29 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ssbl.geometry import (AgentState, Role, SimulationFault, Vec2,
-                           WorldConfig, integrate, wall_distances, wrap_angle)
+                           WorldConfig, advance, wall_distances, wrap_angle)
 
 
 def agent(pos=(5.0, 5.0), vel=(0.0, 0.0), heading=0.0):
     return AgentState(id=0, role=Role.ROBOT, position=Vec2(*pos),
                       velocity=Vec2(*vel), heading=heading)
+
+
+def integrate(a, accel, turn_rate, world):
+    """One agent through the array integrator."""
+    pos, vel, heading = advance(np.array([a.position]), np.array([a.velocity]),
+                                np.array([a.heading]), np.array([accel]),
+                                np.array([turn_rate]), world)
+    return replace(a, position=Vec2(*pos[0].tolist()),
+                   velocity=Vec2(*vel[0].tolist()), heading=float(heading[0]))
+
+
+def walls(p, world):
+    return tuple(wall_distances(np.array(p), world).tolist())
 
 
 def test_vec2_basics():
@@ -101,8 +115,8 @@ def test_precondition_violations_raise():
 
 def test_wall_distances_center_and_corner():
     w = WorldConfig(floor_side=10.0)
-    assert wall_distances(Vec2(5.0, 5.0), w) == (5.0, 5.0, 5.0, 5.0)
-    assert wall_distances(Vec2(1.0, 1.0), w) == (1.0, 9.0, 1.0, 9.0)
+    assert walls(Vec2(5.0, 5.0), w) == (5.0, 5.0, 5.0, 5.0)
+    assert walls(Vec2(1.0, 1.0), w) == (1.0, 9.0, 1.0, 9.0)
 
 
 def test_wall_distances_pairs_sum_to_side():
@@ -110,7 +124,7 @@ def test_wall_distances_pairs_sum_to_side():
     rng = np.random.default_rng(5)
     for _ in range(50):
         p = Vec2(*rng.uniform(0.0, 10.0, 2))
-        left, right, bottom, top = wall_distances(p, w)
+        left, right, bottom, top = walls(p, w)
         assert left + right == pytest.approx(10.0, abs=1e-12)
         assert bottom + top == pytest.approx(10.0, abs=1e-12)
         assert min(left, right, bottom, top) >= 0.0
@@ -118,7 +132,7 @@ def test_wall_distances_pairs_sum_to_side():
 
 def test_wall_distances_clamps_outside_points():
     w = WorldConfig(floor_side=10.0)
-    assert wall_distances(Vec2(-1.0, 5.0), w) == (0.0, 10.0, 5.0, 5.0)
+    assert walls(Vec2(-1.0, 5.0), w) == (0.0, 10.0, 5.0, 5.0)
 
 
 def test_config_validation():

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
-from conftest import run_group, step_group_once
+from conftest import point_field, run_group, step_group_once
 from ssbl.forces import combined_force, estimate_ospace
 from ssbl.geometry import AgentState, Role, Vec2, WorldConfig
-from ssbl.groups import (GroupSpawnSpec, SpawnError, sha_policy,
-                         spawn_episode)
+from ssbl.groups import (DEFAULT_GAINS, GroupSpawnSpec, SpawnError,
+                         sha_commands, spawn_episode)
 
 
 def sha(i, x, y, heading=0.0):
@@ -25,7 +26,16 @@ def settled_dyad():
     return [a, b]
 
 
-# -- sha_policy ---------------------------------------------------------------
+def sha_policy(sha, all_agents, prox, ospace, world, gains=DEFAULT_GAINS):
+    """One SHA's acceleration and turn rate through the array controller."""
+    others = [a for a in all_agents if a.id != sha.id]
+    f = point_field(sha.position, others, prox, ospace)
+    accel, turn = sha_commands(f.combined, f.d_e, f.d_c,
+                               np.array([sha.heading]), world, gains)
+    return Vec2(*accel[0].tolist()), float(turn[0])
+
+
+# -- sha_commands -------------------------------------------------------------
 
 
 def test_stable_dyad_rests_under_deadband(world, prox):
@@ -62,12 +72,6 @@ def test_no_orientation_target_holds_heading(world, prox):
                              ospace, WorldConfig(floor_side=20.0))
     assert turn == 0.0
     assert accel == Vec2(0.0, 0.0)
-
-
-def test_sha_policy_rejects_robot(world, prox):
-    with pytest.raises(ValueError):
-        sha_policy(robot(1, 1), [robot(1, 1)], prox,
-                   estimate_ospace(settled_dyad()), world)
 
 
 # -- group dynamics invariants --------------------------------------------------

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
@@ -139,8 +141,14 @@ def test_simulate_bad_config_exits_2(tmp_path):
     {"world": {"dt": math.nan}},
     {"episode": {"success_band": math.inf}},
     {"proxemics": {"s_min": -math.inf}},
+    {"train": {"iterations": -3}},
+    {"train": {"eval_episodes": 0}},
+    {"train": {"rollout_episodes": 0}},
+    {"train": {"minibatch": 0}},
 ], ids=["episode-str", "world-str", "episode-list", "train-list",
-        "hidden-zero", "world-nan", "episode-inf", "proxemics-minus-inf"])
+        "hidden-zero", "world-nan", "episode-inf", "proxemics-minus-inf",
+        "iterations-negative", "eval-episodes-zero", "rollout-episodes-zero",
+        "minibatch-zero"])
 def test_bad_config_value_exits_2(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -150,6 +158,13 @@ def test_bad_config_value_exits_2(tmp_path, capsys, doc):
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_train_negative_iters_exits_2(tmp_path, capsys):
+    rc = main(["train", "--iters", "-3", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "iterations must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_parallel_matches_sequential(tmp_path, monkeypatch):
@@ -297,6 +312,54 @@ def test_trajectory_missing_field_detected(tmp_path):
     path.write_text('{"config_hash": "x", "seed": 0, "agents": []}\n'
                     '{"t": 1, "agents": []}\n')
     with pytest.raises(TrajectoryFormatError, match=":2:"):
+        read_trajectory(path)
+
+
+def test_non_object_lines_are_format_errors(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text("5\n")
+    with pytest.raises(TrajectoryFormatError, match=":1: not a JSON object"):
+        read_trajectory(path)
+    path.write_text('{"config_hash": "x", "seed": 0, "agents": []}\n7\n')
+    with pytest.raises(TrajectoryFormatError, match=":2: not a JSON object"):
+        read_trajectory(path)
+
+
+def test_header_is_the_first_non_blank_line(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["simulate", "--policy", "sffm", "--episodes", "1",
+                 "--out", str(out)]) == 0
+    path = out / "episode_000.jsonl"
+    header, records = read_trajectory(path)
+    path.write_text("\n" + path.read_text())
+    assert read_trajectory(path) == (header, records)
+
+
+@pytest.fixture(scope="module")
+def trajectory_lines(tmp_path_factory):
+    out = tmp_path_factory.mktemp("traj")
+    assert main(["simulate", "--policy", "random", "--episodes", "1",
+                 "--out", str(out)]) == 0
+    return (out / "episode_000.jsonl").read_text().splitlines()
+
+
+json_values = st.one_of(st.none(), st.booleans(), st.integers(),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        st.text(max_size=5), st.lists(st.integers(), max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_corrupt_line_is_reported_with_its_number(trajectory_lines, tmp_path_factory, data):
+    lines = list(trajectory_lines)
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    if data.draw(st.booleans(), label="truncate"):
+        lines[i] = lines[i][:data.draw(st.integers(1, len(lines[i]) - 1), label="cut")]
+    else:
+        lines[i] = json.dumps(data.draw(json_values, label="value"))
+    path = tmp_path_factory.mktemp("bad") / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError, match=f":{i + 1}: "):
         read_trajectory(path)
 
 

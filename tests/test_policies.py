@@ -1,15 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from ssbl.config import default_config
-from ssbl.forces import ForceBreakdown, combined_force, estimate_ospace
+from conftest import point_field
+from ssbl.config import ConfigError, config_hash, default_config
+from ssbl.forces import estimate_ospace
 from ssbl.geometry import AgentState, ProxemicsConfig, Role, Vec2, WorldConfig
-from ssbl.groups import DEFAULT_GAINS, field_turn, sha_policy
+from ssbl.groups import DEFAULT_GAINS, field_turn, sha_commands
 from ssbl.policies import (OBS_SCALE, NetworkPolicy, PolicyParams,
                            RandomPolicy, SffmPolicy, load_checkpoint,
-                           make_policy, param_count, policy_forward,
+                           make_policy, param_count,
                            save_checkpoint, sffm_baseline_policy, zero_params)
 from ssbl.training import make_env, mlp_forward, rollout
 
@@ -18,6 +20,11 @@ def random_params(layer_sizes, seed=0, scale=0.6):
     rng = np.random.default_rng(seed)
     flat = rng.normal(0.0, scale, param_count(layer_sizes)).astype(np.float32)
     return PolicyParams(tuple(layer_sizes), flat)
+
+
+def policy_forward(params, obs):
+    """One observation through NetworkPolicy's batched forward."""
+    return NetworkPolicy(params).act(obs[None], None)[0]
 
 
 def reference_forward(params, obs):
@@ -52,8 +59,9 @@ def test_outputs_always_bounded():
 
 
 def test_forward_matches_loop_reimplementation():
-    """policy_forward agrees with a plain-Python oracle, and bit for bit with
-    the batched mlp_forward the trainers use."""
+    """The policy forward agrees with a plain-Python oracle and with the
+    mlp_forward the trainers use, and bit for bit with the same row inside
+    a batch."""
     rng = np.random.default_rng(3)
     for seed in range(10):
         sizes = (22, 64, 64, 2) if seed % 2 else (7, 9, 5, 2)
@@ -62,9 +70,12 @@ def test_forward_matches_loop_reimplementation():
         fast = policy_forward(params, obs)
         slow = reference_forward(params, obs)
         np.testing.assert_allclose(fast, slow, atol=1e-12, rtol=0.0)
-        batched, _ = mlp_forward(params.flat_params.astype(np.float64), sizes,
+        trainer, _ = mlp_forward(params.flat_params.astype(np.float64), sizes,
                                  obs * OBS_SCALE)
-        assert np.array_equal(fast, batched)
+        np.testing.assert_allclose(fast, trainer, atol=1e-12, rtol=0.0)
+        batch = np.vstack([rng.uniform(-5.0, 5.0, (3, sizes[0])), obs])
+        batched = NetworkPolicy(params).act(batch, None)
+        assert np.array_equal(fast, batched[3])
 
 
 def test_dimension_mismatch_raises():
@@ -102,39 +113,34 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
 # -- force-field baseline ------------------------------------------------------
 
 
-def robot_at(heading=0.0):
-    return AgentState(0, Role.ROBOT, Vec2(5.0, 5.0), Vec2(0.0, 0.0), heading)
-
-
-def breakdown(combined=Vec2(0.0, 0.0), d_e=Vec2(0.0, 0.0), d_c=Vec2(0.0, 0.0)):
-    return ForceBreakdown(repulsion=Vec2(0.0, 0.0), equality=Vec2(0.0, 0.0),
-                          cohesion=Vec2(0.0, 0.0), d_e=d_e, d_c=d_c,
-                          combined=combined)
+def baseline(heading=0.0, combined=(0.0, 0.0), d_e=(0.0, 0.0), d_c=(0.0, 0.0)):
+    """sffm_baseline_policy of one robot: (a_fwd, a_turn)."""
+    a_fwd, a_turn = sffm_baseline_policy(np.array([heading]), np.array([combined]),
+                                         np.array([d_e]), np.array([d_c]))[0]
+    return a_fwd, a_turn
 
 
 def test_baseline_aligned_force_drives_forward():
-    bd = breakdown(combined=Vec2(0.5, 0.0), d_e=Vec2(1.0, 0.0),
-                   d_c=Vec2(1.0, 0.0))
-    action = sffm_baseline_policy(robot_at(heading=0.0), bd)
-    assert action.a_fwd > 0.0
-    assert abs(action.a_turn) < 1e-12
+    a_fwd, a_turn = baseline(heading=0.0, combined=(0.5, 0.0), d_e=(1.0, 0.0),
+                             d_c=(1.0, 0.0))
+    assert a_fwd > 0.0
+    assert abs(a_turn) < 1e-12
 
 
 def test_baseline_zero_breakdown_is_idle():
-    action = sffm_baseline_policy(robot_at(), breakdown())
-    assert action.a_fwd == 0.0 and action.a_turn == 0.0
+    a_fwd, a_turn = baseline()
+    assert a_fwd == 0.0 and a_turn == 0.0
 
 
 def test_baseline_outputs_clamped():
-    bd = breakdown(combined=Vec2(50.0, 0.0), d_e=Vec2(0.0, 1.0))
-    action = sffm_baseline_policy(robot_at(), bd)
-    assert -1.0 <= action.a_fwd <= 1.0
-    assert -1.0 <= action.a_turn <= 1.0
+    a_fwd, a_turn = baseline(combined=(50.0, 0.0), d_e=(0.0, 1.0))
+    assert -1.0 <= a_fwd <= 1.0
+    assert -1.0 <= a_turn <= 1.0
 
 
 def test_sha_and_baseline_turn_through_one_controller():
     """The SHA turn rate and the baseline's a_turn are field_turn of the same
-    breakdown and heading, clipped to omega_max and to 1."""
+    field and heading, clipped to omega_max and to 1."""
     world, prox = WorldConfig(), ProxemicsConfig()
     rng = np.random.default_rng(8)
     clipped = unclipped = 0
@@ -144,12 +150,13 @@ def test_sha_and_baseline_turn_through_one_controller():
                   for i in (1, 2, 3)]
         ospace = estimate_ospace(agents, prox.s_min)
         sha = agents[0]
-        bd = combined_force(sha.position, agents[1:], prox, ospace)
-        _, turn = sha_policy(sha, agents, prox, ospace, world)
-        assert turn == field_turn(bd, sha.heading, DEFAULT_GAINS,
-                                  world.omega_max)
-        a_turn = sffm_baseline_policy(robot_at(sha.heading), bd).a_turn
-        assert a_turn == field_turn(bd, sha.heading, DEFAULT_GAINS, 1.0)
+        f = point_field(sha.position, agents[1:], prox, ospace)
+        heading = np.array([sha.heading])
+        turn = sha_commands(f.combined, f.d_e, f.d_c, heading, world)[1][0]
+        assert turn == field_turn(f.d_e, f.d_c, heading, DEFAULT_GAINS,
+                                  world.omega_max)[0]
+        a_turn = sffm_baseline_policy(heading, f.combined, f.d_e, f.d_c)[0, 1]
+        assert a_turn == field_turn(f.d_e, f.d_c, heading, DEFAULT_GAINS, 1.0)[0]
         clipped += abs(turn) == world.omega_max and abs(a_turn) == 1.0
         unclipped += abs(turn) < 1.0 and turn == a_turn
     assert clipped > 0 and unclipped > 0
@@ -157,10 +164,8 @@ def test_sha_and_baseline_turn_through_one_controller():
 
 def test_baseline_joins_dyad():
     env = make_env(default_config().validate())
-    joined = 0
-    for seed in range(20):
-        res = rollout(env, SffmPolicy(), [100, seed])
-        joined += res.success
+    results = rollout(env, SffmPolicy(), [[100, seed] for seed in range(20)])
+    joined = sum(res.success for res in results)
     assert joined >= 18
 
 
@@ -169,28 +174,40 @@ def test_baseline_joins_dyad():
 
 def test_random_policy_is_seeded_per_episode():
     env = make_env(default_config().validate())
-    a = rollout(env, RandomPolicy(), [1, 2])
-    b = rollout(env, RandomPolicy(), [1, 2])
-    c = rollout(env, RandomPolicy(), [1, 3])
+    a, b, c = rollout(env, RandomPolicy(), [[1, 2], [1, 2], [1, 3]])
     assert a.ret == b.ret
     assert a.ret != c.ret
 
 
 def test_random_policy_outputs_in_range():
     pol = RandomPolicy()
-    pol.begin_episode([0, 0])
+    pol.begin_episode([[0, 0]])
     for _ in range(100):
-        act = pol.act(None, None)
-        assert -1.0 <= act.a_fwd <= 1.0
-        assert -1.0 <= act.a_turn <= 1.0
+        (a_fwd, a_turn), = pol.act(None, None)
+        assert -1.0 <= a_fwd <= 1.0
+        assert -1.0 <= a_turn <= 1.0
 
 
-def test_make_policy_dispatch(tmp_path):
-    assert isinstance(make_policy("sffm"), SffmPolicy)
+def test_make_policy_dispatch(tmp_path, caplog):
+    cfg = default_config().validate()
+    assert isinstance(make_policy("sffm", cfg), SffmPolicy)
     assert isinstance(make_policy("random"), RandomPolicy)
     params = zero_params((22, 4, 2))
     path = tmp_path / "p.json"
     save_checkpoint(params, path)
-    assert isinstance(make_policy(str(path)), NetworkPolicy)
+    with caplog.at_level(logging.WARNING):
+        assert isinstance(make_policy(str(path), cfg), NetworkPolicy)
+        save_checkpoint(params, path, config_hash=config_hash(cfg))
+        make_policy(str(path), cfg)
+    assert caplog.records == []    # no hash, or the run's own hash
+    save_checkpoint(params, path, config_hash="0123456789abcdef")
+    with caplog.at_level(logging.WARNING):
+        assert isinstance(make_policy(str(path), cfg), NetworkPolicy)
+    assert len(caplog.records) == 1
+    assert "0123456789abcdef" in caplog.text
+    make_policy(str(path))           # checked against the default config
+    cfg.episode.spawn.n_shas = 3
+    with pytest.raises(ConfigError, match="input width 22"):
+        make_policy(str(path), cfg)
     with pytest.raises(OSError):
-        make_policy(str(tmp_path / "missing.json"))
+        make_policy(str(tmp_path / "missing.json"), cfg)

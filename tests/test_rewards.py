@@ -12,6 +12,7 @@ from ssbl.rewards import (RewardBreakdown, RewardWeights,
 
 def path_integral(field, start, end, n):
     """Accumulate midpoint increments over n equal sub-steps of the segment."""
+    start, end = np.array(start), np.array(end)
     total = 0.0
     for i in range(n):
         a = start + (end - start) * (i / n)
@@ -22,22 +23,27 @@ def path_integral(field, start, end, n):
 
 def radial_field(u):
     """Radial pull toward the origin with magnitude 1/r."""
-    r2 = u.norm_sq()
-    return Vec2(-u.x / r2, -u.y / r2)
+    r2 = u[..., 0] ** 2 + u[..., 1] ** 2
+    return np.stack([-u[..., 0] / r2, -u[..., 1] / r2], axis=-1)
+
+
+def work_of(pairs):
+    """Per-SHA field work from (force, displacement) pairs."""
+    return np.array([f.dot(d) for f, d in pairs])
 
 
 # -- r1 -------------------------------------------------------------------------
 
 
 def test_constant_field_work():
-    inc = group_forming_increment(lambda u: Vec2(1.0, 0.0),
-                                  Vec2(0.0, 0.0), Vec2(1.0, 0.0))
+    inc = group_forming_increment(lambda u: np.array([1.0, 0.0]),
+                                  np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     assert inc == 1.0
 
 
 def test_zero_displacement():
-    inc = group_forming_increment(lambda u: Vec2(3.0, -2.0),
-                                  Vec2(1.0, 1.0), Vec2(1.0, 1.0))
+    inc = group_forming_increment(lambda u: np.array([3.0, -2.0]),
+                                  np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     assert inc == 0.0
 
 
@@ -85,13 +91,13 @@ def test_success_bonus():
 
 
 def test_sha_disturbance_cases():
-    assert sha_disturbance_increment([]) == 0.0
+    assert sha_disturbance_increment(work_of([])) == 0.0
     assert sha_disturbance_increment(
-        [(Vec2(1.0, 0.0), Vec2(0.0, 0.0))]) == 0.0
-    one = sha_disturbance_increment([(Vec2(1.0, 0.0), Vec2(0.1, 0.0))])
+        work_of([(Vec2(1.0, 0.0), Vec2(0.0, 0.0))])) == 0.0
+    one = sha_disturbance_increment(work_of([(Vec2(1.0, 0.0), Vec2(0.1, 0.0))]))
     assert abs(one - (-0.1)) < 1e-15
-    two = sha_disturbance_increment([(Vec2(1.0, 0.0), Vec2(0.1, 0.0)),
-                                     (Vec2(0.0, 2.0), Vec2(0.0, 0.05))])
+    two = sha_disturbance_increment(work_of([(Vec2(1.0, 0.0), Vec2(0.1, 0.0)),
+                                             (Vec2(0.0, 2.0), Vec2(0.0, 0.05))]))
     assert abs(two - (one - 0.1)) < 1e-15  # sum of individual terms
 
 

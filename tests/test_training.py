@@ -121,6 +121,18 @@ def test_gae_hand_case():
     np.testing.assert_allclose(targets, adv + values[:2])
 
 
+def test_gae_truncation_bootstraps_the_final_value():
+    # an episode cut at the horizon: the trailing value is V(s_T), not 0
+    rewards = np.array([1.0, 1.0])
+    values = np.array([0.5, 0.4, 0.3])
+    adv, targets = compute_gae(rewards, values, gamma=0.9, lam=0.8)
+    d0 = 1.0 + 0.9 * 0.4 - 0.5
+    d1 = 1.0 + 0.9 * 0.3 - 0.4
+    assert abs(adv[1] - d1) < 1e-15
+    assert abs(adv[0] - (d0 + 0.9 * 0.8 * d1)) < 1e-15
+    np.testing.assert_allclose(targets, adv + values[:2])
+
+
 def test_gae_zero_lambda_is_td_error():
     rewards = np.array([0.5, -0.25, 2.0])
     values = np.array([1.0, 0.3, -0.2, 0.0])
