@@ -4,17 +4,18 @@ vector observations, success detection and termination.
 The state is held as arrays with one lane per episode (positions and
 velocities (B, N, 2), headings (B, N); the robot is agent 0), and every lane
 is computed from its own entries alone, so an episode steps to the same
-bytes at any batch size. Tick order, for every lane still running: (1) SHA
-commands and the robot command are computed from the pre-tick state, (2) all
-agents integrate, (3) the o-space is re-estimated from the new SHA positions,
+bytes at any batch size. Tick order, for every lane: (1) SHA commands and
+the robot command are computed from the pre-tick state, (2) all agents
+integrate, (3) the o-space is re-estimated from the new SHA positions,
 (4) reward increments are computed from the tick's displacements against the
 pre-tick field, (5) success and termination are evaluated on the post-tick
-state. Finished lanes keep their state.
-"""
+state. A batch holds running episodes only: `step` refuses a batch that
+holds a finished lane, and `keep` drops lanes from every per-lane array, so
+a tick costs only the episodes still running."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -73,6 +74,11 @@ def success_instant(pos: np.ndarray, heading: np.ndarray, center: np.ndarray,
     return (np.abs(dist - radius) <= band) & (dist > 1e-9) & (np.abs(err) <= angle)
 
 
+def _take(f: ForceBreakdown, index) -> ForceBreakdown:
+    """Every array of a field indexed along its leading axis."""
+    return ForceBreakdown(*(getattr(f, k.name)[index] for k in fields(f)))
+
+
 def derive_episode_seed(seed) -> int:
     """Collapse arbitrary seed material to the 64-bit spawn seed."""
     ss = np.random.SeedSequence(seed)
@@ -111,30 +117,33 @@ class ApproachEnv:
         self.hold = np.zeros(b, dtype=np.int64)
         self.done = np.zeros(b, dtype=bool)
         self.success = np.zeros(b, dtype=bool)
-        self.field = self._field(self.pos, self.pos)
+        self.field = field_at(self.pos, neighbours_of(self.pos), self.prox,
+                              self.center, self.radius)
         return self.observe()
 
     def observe(self) -> np.ndarray:
         return encode_observation(self.pos, self.vel, self.heading, self.world)
 
-    def _field(self, points: np.ndarray, agents: np.ndarray) -> ForceBreakdown:
-        """The field at agent i's point (B, N, 2) from the other `agents`."""
-        return field_at(points, neighbours_of(agents), self.prox,
-                        self.center, self.radius)
+    def keep(self, mask: np.ndarray) -> None:
+        """Hold only the lanes where `mask` (B,) is true, in their order."""
+        for name in ("pos", "vel", "heading", "center", "radius", "t", "hold",
+                     "done", "success"):
+            setattr(self, name, getattr(self, name)[mask])
+        self.field = _take(self.field, mask)
+        self.seeds = [s for s, k in zip(self.seeds, mask) if k]
 
     def step(self, actions: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RewardBreakdown]:
-        """Advance the running lanes under robot actions (B, 2) = [a_fwd,
+        """Advance every held lane under robot actions (B, 2) = [a_fwd,
         a_turn], clamped to [-1, 1]. Returns observations (B, L), reward
-        totals (B,), the done mask and the reward breakdown; the rewards of
-        lanes that were already done are 0."""
-        if self.done.all():
-            raise EpisodeDoneError("step() called on finished episodes; call reset()")
-        running = ~self.done
+        totals (B,), the done mask and the reward breakdown."""
+        if not self.done.size or self.done.any():
+            raise EpisodeDoneError("step() called on finished or never-reset "
+                                   "episodes; call reset() or keep() the running ones")
         world = self.world
         weights = self.episode.weights
         dt = world.dt
-        act = np.where(running[:, None], np.clip(actions, -1.0, 1.0), 0.0)
+        act = np.clip(actions, -1.0, 1.0)
         pos, vel, heading = self.pos, self.vel, self.heading
 
         # (1) commands from the pre-tick state
@@ -149,37 +158,42 @@ class ApproachEnv:
             f.combined[:, 1:], f.d_e[:, 1:], f.d_c[:, 1:], heading[:, 1:],
             world, self.sha_gains)
 
-        # (2) integrate everyone; finished lanes keep their state
+        # (2) integrate everyone; (3) the o-space follows the group
         new_pos, new_vel, new_heading = advance(pos, vel, heading, accel, turn, world)
-        keep = running[:, None]
-        new_pos = np.where(keep[..., None], new_pos, pos)
-        new_vel = np.where(keep[..., None], new_vel, vel)
-        new_heading = np.where(keep, new_heading, heading)
+        center, radius = ospace_of(new_pos[:, 1:], self.prox.s_min)
 
-        # (4) against the pre-tick field: the work along the robot's step (r1)
-        # and along each SHA's (r5)
-        work = group_forming_increment(
-            lambda mid: self._field(mid, pos).combined, pos, new_pos)
+        # (4) one field evaluation for the tick: at the midpoints of every
+        # agent's step against the pre-tick agents and o-space, for the work
+        # along the robot's step (r1) and along each SHA's (r5), and at the
+        # new positions against the new agents, the field the next tick reads
+        both = []
+
+        def pre_tick_field(mid):
+            both.append(field_at(np.stack([mid, new_pos]),
+                                 neighbours_of(np.stack([pos, new_pos])), self.prox,
+                                 np.stack([self.center, center]),
+                                 np.stack([self.radius, radius])))
+            return both[0].combined[0]
+
+        work = group_forming_increment(pre_tick_field, pos, new_pos)
         r1 = weights.sign_r1 * work[:, 0]
         r2 = non_increasing_increment(r1 / dt, dt)
-        r3 = time_penalty_increment(dt)
+        r3 = np.full(len(r1), time_penalty_increment(dt))
         r5 = sha_disturbance_increment(work[:, 1:])
 
-        # (3) o-space follows the group; (5) success and termination
+        # (5) success and termination
         self.pos, self.vel, self.heading = new_pos, new_vel, new_heading
-        self.center, self.radius = ospace_of(new_pos[:, 1:], self.prox.s_min)
-        self.t = self.t + running
-        on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], self.center,
-                                  self.radius, self.episode.success_band,
+        self.center, self.radius = center, radius
+        self.field = _take(both[0], 1)
+        self.t = self.t + 1
+        on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], center,
+                                  radius, self.episode.success_band,
                                   self.episode.success_angle)
-        self.hold = np.where(running, np.where(on_ring, self.hold + 1, 0), self.hold)
+        self.hold = np.where(on_ring, self.hold + 1, 0)
         self.success = self.hold >= self.episode.success_hold
         self.done = self.success | (self.t >= self.episode.max_steps)
 
         r4 = success_bonus(self.success, weights.success_bonus)
-        breakdown = RewardBreakdown(*(np.where(running, r, 0.0)
-                                      for r in (r1, r2, r3, r4, r5)))
+        breakdown = RewardBreakdown(r1, r2, r3, r4, r5)
         breakdown.total = total_reward(breakdown, weights)
-
-        self.field = self._field(new_pos, new_pos)
         return self.observe(), breakdown.total, self.done, breakdown

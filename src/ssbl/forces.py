@@ -146,9 +146,9 @@ def _others(n: int) -> np.ndarray:
 
 
 def neighbours_of(agents: np.ndarray) -> np.ndarray:
-    """For agents (B, N, 2), the other agents of each, as `field_at` takes
-    them: (N - 1, B, N, 2)."""
-    return agents[:, _others(agents.shape[1])].swapaxes(0, 1)
+    """For agents (..., N, 2), the other agents of each, as `field_at` takes
+    them: (N - 1, ..., N, 2)."""
+    return np.moveaxis(agents[..., _others(agents.shape[-2]), :], -3, 0)
 
 
 def _total(x: np.ndarray, start: float = 0.0) -> np.ndarray:

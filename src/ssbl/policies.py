@@ -5,7 +5,9 @@ Network parameters are canonically float32 (that is what checkpoints store);
 forward passes run in float64 on upcast weights. `_run_layers` is the one
 tanh MLP: policies run it through `einsum`, whose rows do not depend on the
 batch around them; the trainers (`mlp_forward`) through faster BLAS matmul,
-whose rows do. A policy maps observations (B, L) to actions (B, 2).
+whose rows do. A policy maps observations (B, L) to actions (B, 2);
+`begin_episode(seeds)` starts one episode per seed, and `keep(mask)` drops
+the lanes of the episodes that ended, as the env does.
 """
 
 from __future__ import annotations
@@ -167,16 +169,43 @@ class NetworkPolicy:
 
     def __init__(self, params: PolicyParams | list[PolicyParams]):
         self.params = [params] if isinstance(params, PolicyParams) else list(params)
-        self._layers = population_layers([p.flat_params for p in self.params],
-                                         self.params[0].layer_sizes)
+        self._population = population_layers([p.flat_params for p in self.params],
+                                             self.params[0].layer_sizes)
+        self.begin_episode(())
 
     def begin_episode(self, seeds) -> None:
-        pass
+        self._layers = self._population
+        self._net = None     # lanes in whole blocks, until the first keep()
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drive only the lanes where `mask` is true. Each held lane keeps
+        its network `_net` and gets a slot among that network's lanes. Once
+        at most half of the held networks still have a lane, the weights of
+        those are gathered and the rest dropped, so the copies made in one
+        episode add up to less than the population."""
+        held = len(self._layers[0][0])
+        net = self._net
+        if net is None:
+            net = np.arange(mask.size) // (mask.size // held)
+        net = net[mask]
+        # networks with a lane (np.unique would import numpy.ma, ~1 MB, on first use)
+        live = np.flatnonzero(np.bincount(net, minlength=held))
+        if 2 * live.size <= held:
+            self._layers = [(w[live], b[live]) for w, b in self._layers]
+            net = np.searchsorted(live, net)
+        self._net = net
+        self._slot = np.arange(net.size) - np.searchsorted(net, net)
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
-        x = obs.reshape(len(self._layers[0][0]), -1, obs.shape[-1]) * OBS_SCALE
-        out, _ = _run_layers(self._layers, x, subscripts="poi,pbi->pbo")
-        return out.reshape(-1, 2)
+        held = len(self._layers[0][0])
+        if self._net is None:
+            x = obs.reshape(held, -1, obs.shape[-1])
+        else:
+            # networks by lanes, padded to the network with the most lanes
+            x = np.zeros((held, self._slot.max() + 1, obs.shape[-1]))
+            x[self._net, self._slot] = obs
+        out, _ = _run_layers(self._layers, x * OBS_SCALE, subscripts="poi,pbi->pbo")
+        return out.reshape(-1, 2) if self._net is None else out[self._net, self._slot]
 
 
 class SffmPolicy:
@@ -184,6 +213,9 @@ class SffmPolicy:
     env. It always uses the default controller gains, whatever the SHAs use."""
 
     def begin_episode(self, seeds) -> None:
+        pass
+
+    def keep(self, mask: np.ndarray) -> None:
         pass
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
@@ -208,6 +240,9 @@ class RandomPolicy:
             material = list(seed) if isinstance(seed, (list, tuple)) else [seed]
             self._rngs.append(np.random.default_rng(
                 [RANDOM_POLICY_STREAM] + [int(s) for s in material]))
+
+    def keep(self, mask: np.ndarray) -> None:
+        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
         return np.array([rng.uniform(-1.0, 1.0, 2) for rng in self._rngs])

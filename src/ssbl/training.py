@@ -56,7 +56,8 @@ STEPS = ("action", *REWARD_KEYS)
 
 @dataclass(slots=True)
 class RolloutResult:
-    """One episode of a rollout. A recorded one also keeps its `track`, one
+    """One episode of a rollout, with the state it ended in (`final`, one
+    array per STATES name). A recorded one also keeps its `track`, one
     array per STATES and STEPS name, from which its step records and
     observations are cut when read."""
 
@@ -64,6 +65,7 @@ class RolloutResult:
     ret: float
     steps: int
     success: bool
+    final: dict
     track: dict | None = None
 
     @property
@@ -87,30 +89,46 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
             ) -> list[RolloutResult]:
     """Run one episode per seed, all in one lockstep batch; with `record`,
     also keep each episode's track. This is the one loop that steps the
-    environment."""
+    environment. After a tick in which some episodes end and others go on,
+    the env and the policy drop the ended ones (`keep`), so every tick
+    steps running episodes only; results are scattered back by seed index."""
     obs = env.reset(seeds)
-    policy.begin_episode(env.seeds)
-    lanes = np.arange(len(env.seeds))
+    seeds = env.seeds
+    policy.begin_episode(seeds)
+    n = len(seeds)
+    lanes = np.arange(n)            # the seed index of every held lane
+    ret = np.zeros(n)
+    steps = np.zeros(n, dtype=np.int64)
+    success = np.zeros(n, dtype=bool)
+    final = {k: np.empty_like(getattr(env, k)) for k in STATES}
     states = [(lanes, env.pos, env.vel, env.heading)]
-    steps = []
-    ret = np.zeros(len(lanes))
-    while not env.done.all():
-        running = lanes[~env.done]
+    ticks = []
+    while lanes.size:
         action = policy.act(obs, env)
-        obs, reward, _, bd = env.step(action)
-        ret += reward
+        obs, reward, done, bd = env.step(action)
+        ret[lanes] += reward
         if record:
-            states.append((running, env.pos[running], env.vel[running],
-                           env.heading[running]))
-            steps.append((running, action[running],
-                          *(getattr(bd, k)[running] for k in REWARD_KEYS)))
-    tracks = [None] * len(lanes)
+            states.append((lanes, env.pos, env.vel, env.heading))
+            ticks.append((lanes, action, *(getattr(bd, k) for k in REWARD_KEYS)))
+        if done.any():
+            ended = lanes[done]
+            steps[ended] = env.t[done]
+            success[ended] = env.success[done]
+            for k in STATES:
+                final[k][ended] = getattr(env, k)[done]
+            running = ~done
+            lanes = lanes[running]
+            if lanes.size:
+                env.keep(running)
+                policy.keep(running)
+                obs = obs[running]
+    tracks = [None] * n
     if record:
         tracks = [dict(zip(STATES + STEPS, s + a)) for s, a in
-                  zip(_per_lane(states, env.t + 1), _per_lane(steps, env.t))]
-    return [RolloutResult(seed, float(ret[b]), int(env.t[b]),
-                          bool(env.success[b]), tracks[b])
-            for b, seed in enumerate(env.seeds)]
+                  zip(_per_lane(states, steps + 1), _per_lane(ticks, steps))]
+    return [RolloutResult(seed, float(ret[b]), int(steps[b]), bool(success[b]),
+                          {k: final[k][b] for k in STATES}, tracks[b])
+            for b, seed in enumerate(seeds)]
 
 
 def eval_seeds(master_seed: int, n: int) -> list[list[int]]:
@@ -326,7 +344,8 @@ def mlp_backward(flat: np.ndarray, layer_sizes, acts, dout: np.ndarray,
             g = g * (1.0 - acts[li + 1] ** 2)
         gw += g.T @ acts[li]
         gb += g.sum(axis=0)
-        g = g @ w
+        if li:   # the gradient w.r.t. the input itself is never needed
+            g = g @ w
     return grad
 
 
@@ -451,12 +470,17 @@ class _GaussianPolicy(NetworkPolicy):
 
     def __init__(self, flat: np.ndarray, layer_sizes, log_std: np.ndarray,
                  noise_seeds):
-        self._layers = population_layers(flat[None], layer_sizes)
+        self._population = population_layers(flat[None], layer_sizes)
         self._std = np.exp(log_std)
         self._noise_seeds = noise_seeds
 
     def begin_episode(self, seeds) -> None:
+        super().begin_episode(seeds)
         self._rngs = [np.random.default_rng(s) for s in self._noise_seeds]
+
+    def keep(self, mask: np.ndarray) -> None:
+        super().keep(mask)
+        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
         noise = np.array([rng.standard_normal(2) for rng in self._rngs])
@@ -503,8 +527,11 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
         mean, _ = mlp_forward(flat, layer_sizes, obs_b * OBS_SCALE)
         logp_b = gaussian_logp(act_b, mean, log_std)
         # values of every visited state, then of the states the episodes ended in
+        obs_end = encode_observation(
+            *(np.stack([res.final[k] for res in results]) for k in STATES),
+            full_cfg.world)
         v, _ = mlp_forward(vflat, value_sizes,
-                           np.concatenate([obs_b, env.observe()]) * OBS_SCALE,
+                           np.concatenate([obs_b, obs_end]) * OBS_SCALE,
                            squash_output=False)
         n = obs_b.shape[0]
         ends = np.cumsum([res.steps for res in results])[:-1]

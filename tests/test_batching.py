@@ -3,16 +3,16 @@ forward pass or a CEM candidate gives the same bytes alone and inside any
 batch or population."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import lane_agents
 from ssbl.config import default_config
 from ssbl.policies import (NetworkPolicy, PolicyParams, RandomPolicy,
                            SffmPolicy, load_checkpoint)
-from ssbl.training import make_env, rollout
+from ssbl.training import STATES, _GaussianPolicy, make_env, rollout
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "checkpoint.json"
 SEEDS = [[9, i] for i in range(1024)]
@@ -36,7 +36,7 @@ def alone(name, k):
 def check_batch(name, batch, record=True):
     """Episodes 0, batch // 2 and batch - 1 of a batch against each run
     alone: their step records, or without `record` (the random policy's
-    1024 full-horizon episodes) their return and final state."""
+    1024 episodes) their return and final state."""
     env = make_env(default_config().validate())
     results = rollout(env, policies()[name](), SEEDS[:batch], record=record)
     for k in {0, batch // 2, batch - 1}:
@@ -45,9 +45,10 @@ def check_batch(name, batch, record=True):
         if record:
             assert lines(results[k]) == lines(single), (batch, k)
         else:
-            env1 = make_env(default_config().validate())
-            rollout(env1, policies()[name](), [SEEDS[k]])
-            assert lane_agents(env, k) == lane_agents(env1, 0)
+            (unrecorded,) = rollout(make_env(default_config().validate()),
+                                    policies()[name](), [SEEDS[k]])
+            assert all(results[k].final[s].tobytes() == unrecorded.final[s].tobytes()
+                       for s in STATES)
 
 
 @pytest.mark.parametrize("name", ["sffm", "random", "checkpoint"])
@@ -62,6 +63,34 @@ def test_episode_in_large_batches(name):
     for batch in (64, 128):
         check_batch(name, batch)
     check_batch(name, 1024, record=name != "random")
+
+
+def easy_config():
+    """Success anywhere within 3.5 m of the o-space ring, facing any way:
+    random episodes end at scattered ticks."""
+    cfg = default_config()
+    cfg.episode.success_band, cfg.episode.success_angle = 3.5, math.pi
+    cfg.episode.success_hold, cfg.episode.max_steps = 1, 150
+    return cfg.validate()
+
+
+def gaussian(lanes):
+    base = load_checkpoint(CHECKPOINT)[0]
+    return _GaussianPolicy(base.flat_params.astype(np.float64), base.layer_sizes,
+                           np.full(2, -1.0), [[5, k] for k in lanes])
+
+
+@pytest.mark.parametrize("name", ["random", "gaussian"])
+def test_generators_stay_with_their_episodes(name):
+    """Per-episode generators (random actions, PPO's exploration noise)
+    follow their lanes when the episodes of other lanes end and are dropped."""
+    cfg = easy_config() if name == "random" else default_config().validate()
+    make = gaussian if name == "gaussian" else lambda lanes: RandomPolicy()
+    together = rollout(make_env(cfg), make(range(12)), SEEDS[:12], record=True)
+    assert len({r.steps for r in together}) > 2
+    for k in range(12):
+        (single,) = rollout(make_env(cfg), make([k]), [SEEDS[k]], record=True)
+        assert lines(together[k]) == lines(single), k
 
 
 def random_population(size, seed=0):
@@ -92,15 +121,39 @@ def test_forward_rows_do_not_depend_on_batch_or_population():
             assert part[0].tobytes() == full[k].tobytes()
 
 
+def test_finished_episodes_are_not_stepped():
+    """On a batch whose episodes end at different ticks, the rows passed to
+    env.step sum to the episodes' steps: no finished lane is ever stepped."""
+    env = make_env(default_config().validate())
+    rows = []
+    step = env.step
+    env.step = lambda actions: rows.append(len(actions)) or step(actions)
+    results = rollout(env, SffmPolicy(), SEEDS[:16])
+    assert len({r.steps for r in results}) > 8
+    assert sum(rows) == sum(r.steps for r in results)
+
+
+def returns(results):
+    return np.array([r.ret for r in results]).tobytes()
+
+
 def test_cem_candidate_return_does_not_depend_on_population_size():
     """train_cem's scoring: candidate i drives its block of lanes, one per
-    episode seed, inside the whole population's batch."""
+    episode seed, inside the whole population's batch. The episodes end at
+    scattered ticks, so the population drops finished lanes and, halving by
+    halving, the weights of finished candidates; every candidate still
+    scores byte-identically to itself alone, and so does a rerun."""
     env = make_env(default_config().validate())
     population = random_population(64, seed=3)
     seeds = [[0, 1, 0, e] for e in range(2)]
-    together = rollout(env, NetworkPolicy(population), seeds * 64)
-    for i in (0, 17, 63):
+    policy = NetworkPolicy(population)
+    together = rollout(env, policy, seeds * 64)
+    assert len({r.steps for r in together}) > 32
+    assert len(policy._layers[0][0]) < 64 // 4    # gathered at least twice
+    assert returns(rollout(env, policy, seeds * 64)) == returns(together)
+    for i in range(64):
         own = rollout(env, NetworkPolicy(population[i]), seeds)
-        assert [r.ret for r in own] == [r.ret for r in together[2 * i:2 * i + 2]]
+        assert returns(own) == returns(together[2 * i:2 * i + 2]), i
+    for i in (0, 17, 62):
         few = rollout(env, NetworkPolicy(population[i:i + 2]), seeds * 2)
-        assert [r.ret for r in few[:2]] == [r.ret for r in own]
+        assert returns(few) == returns(together[2 * i:2 * i + 4])

@@ -14,7 +14,7 @@ from ssbl.geometry import (AgentState, Role, Vec2, WorldConfig, wrap_angle)
 from ssbl.groups import GroupSpawnSpec
 from ssbl.rewards import RewardWeights
 from ssbl.training import make_env, rollout
-from ssbl.policies import RandomPolicy
+from ssbl.policies import RandomPolicy, SffmPolicy
 
 
 def fresh_env(**episode_kwargs) -> ApproachEnv:
@@ -118,6 +118,19 @@ def test_step_after_done_raises():
         _, _, (done,), _ = env.step(act(0.0, 0.0))
     with pytest.raises(EpisodeDoneError):
         env.step(act(0.0, 0.0))
+
+
+def test_step_on_a_batch_holding_a_finished_lane_raises():
+    env = fresh_env()
+    obs = env.reset([[9, 0], [9, 1]])
+    policy = SffmPolicy()
+    while not env.done.any():
+        obs, _, done, _ = env.step(policy.act(obs, env))
+    assert not done.all()
+    with pytest.raises(EpisodeDoneError):
+        env.step(policy.act(obs, env))
+    env.keep(~done)
+    env.step(policy.act(obs[~done], env))
 
 
 def test_actions_clamped_on_entry():
