@@ -2,12 +2,12 @@
 uniform-random reference, plus checkpoint I/O.
 
 Network parameters are canonically float32 (that is what checkpoints store);
-forward passes run in float64 on upcast weights. `_run_layers` is the one
+forward passes run in float64 on upcast weights. `run_layers` is the one
 tanh MLP: policies run it through `einsum`, whose rows do not depend on the
-batch around them; the trainers (`mlp_forward`) through faster BLAS matmul,
-whose rows do. A policy maps observations (B, L) to actions (B, 2);
-`begin_episode(seeds)` starts one episode per seed, and `keep(mask)` drops
-the lanes of the episodes that ended, as the env does.
+batch around them; the trainers through faster BLAS matmul, whose rows do.
+A policy maps observations (B, L) to actions (B, 2); `begin_episode(seeds)`
+starts one episode per seed, and `keep(mask)` drops the lanes of the
+episodes that ended, as the env does.
 """
 
 from __future__ import annotations
@@ -51,23 +51,32 @@ def unpack_layers(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.nd
     return layers
 
 
-def _run_layers(layers, X: np.ndarray, squash_output: bool = True,
-                subscripts: str | None = None):
-    """The tanh MLP: BLAS matmul, or `np.einsum(subscripts, W, h)`."""
+def run_layers(layers, X: np.ndarray, squash_output: bool = True,
+               subscripts: str | None = None, out=None):
+    """The tanh MLP: BLAS matmul, or `np.einsum(subscripts, W, h)`. Returns
+    (output, activations). With `out`, one (rows, width) buffer per layer,
+    each layer's matmul is written into its buffer and no array is
+    allocated; without, every call returns new arrays."""
     acts = [X]
     h = X
     last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
-        z = (h @ w.T if subscripts is None else np.einsum(subscripts, w, h)) + b
-        h = np.tanh(z) if (li < last or squash_output) else z
+        if out is None:
+            h = (h @ w.T if subscripts is None else np.einsum(subscripts, w, h)) + b
+        else:
+            h = np.matmul(h, w.T, out=out[li])
+            h += b
+        if li < last or squash_output:
+            np.tanh(h, out=h)
         acts.append(h)
     return h, acts
 
 
 def mlp_forward(flat: np.ndarray, layer_sizes, X: np.ndarray,
                 squash_output: bool = True):
-    """Batched tanh MLP for the trainers. Returns (output, activation cache)."""
-    return _run_layers(unpack_layers(flat, layer_sizes), X, squash_output)
+    """Batched tanh MLP for the trainers. Returns (output, activation cache),
+    new arrays on every call."""
+    return run_layers(unpack_layers(flat, layer_sizes), X, squash_output)
 
 
 def population_layers(flats, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -204,7 +213,7 @@ class NetworkPolicy:
             # networks by lanes, padded to the network with the most lanes
             x = np.zeros((held, self._slot.max() + 1, obs.shape[-1]))
             x[self._net, self._slot] = obs
-        out, _ = _run_layers(self._layers, x * OBS_SCALE, subscripts="poi,pbi->pbo")
+        out, _ = run_layers(self._layers, x * OBS_SCALE, subscripts="poi,pbi->pbo")
         return out.reshape(-1, 2) if self._net is None else out[self._net, self._slot]
 
 

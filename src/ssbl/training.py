@@ -30,7 +30,7 @@ from .env import ApproachEnv, encode_observation, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
 from .policies import (OBS_SCALE, NetworkPolicy, PolicyParams, RandomPolicy,
                        SffmPolicy, mlp_forward, param_count, population_layers,
-                       unpack_layers)
+                       run_layers, unpack_layers)
 from .trajlog import REWARD_KEYS, episode_records
 
 log = logging.getLogger(__name__)
@@ -226,31 +226,33 @@ def _finalize_report(algo, cfg, env, layer_sizes, finalists, iter_log,
 # -- baseline distillation and the cross-entropy method -------------------------
 
 
-def distill_baseline(layer_sizes, full_cfg: FullConfig, master_seed: int,
-                     episodes: int = 60, epochs: int = 400,
-                     batch: int = 256, lr: float = 3e-3) -> np.ndarray:
+# the warm start: sffm episodes imitated, then epochs of shuffled minibatches
+DISTILL_EPISODES = 60
+DISTILL_EPOCHS = 400
+DISTILL_BATCH = 256
+DISTILL_LR = 3e-3
+
+
+def distill_baseline(layer_sizes, full_cfg: FullConfig,
+                     master_seed: int) -> np.ndarray:
     """Behavior-clone the force-field baseline into a network (MSE on its
     actions over states it visits). Used to warm-start the policy search so
     refinement begins from a competent, non-intrusive controller instead of
     from scratch."""
     results = rollout(make_env(full_cfg), SffmPolicy(),
-                      [[master_seed, 6, i] for i in range(episodes)], record=True)
+                      [[master_seed, 6, i] for i in range(DISTILL_EPISODES)],
+                      record=True)
     X = np.concatenate([r.observations(full_cfg.world) for r in results]) * OBS_SCALE
     Y = np.concatenate([r.track["action"] for r in results])
 
     rng = np.random.default_rng([master_seed, 7])
-    flat = _init_mlp(rng, layer_sizes)
-    opt = Adam(flat.size, lr)
+    fit = MinibatchFit(_init_mlp(rng, layer_sizes), layer_sizes, DISTILL_LR)
     n = X.shape[0]
-    for epoch in range(epochs):
+    for epoch in range(DISTILL_EPOCHS):
         perm = rng.permutation(n)
-        for start in range(0, n, batch):
-            idx = perm[start:start + batch]
-            out, acts = mlp_forward(flat, layer_sizes, X[idx])
-            dout = 2.0 * (out - Y[idx]) / idx.size
-            grad = mlp_backward(flat, layer_sizes, acts, dout)
-            flat = opt.step(flat, grad)
-    return flat
+        for start in range(0, n, DISTILL_BATCH):
+            fit.mse_step(X, Y, perm[start:start + DISTILL_BATCH])
+    return fit.params
 
 
 def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, TrainReport]:
@@ -326,27 +328,127 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     return params, report
 
 
-# -- MLP backward for distillation and PPO ------------------------------------
+# -- fitting a tanh MLP in place: distillation and PPO ---------------------------
+
+
+def _backprop(layers, glayers, acts, deltas, squash_output: bool) -> None:
+    """Gradient of sum(output * deltas[-1]) into `glayers`, the (W, b) views
+    of a gradient vector. `acts` are the forward pass's activations;
+    deltas[li] is the buffer for the gradient w.r.t. layer li's output.
+    Every buffer but acts[0] is overwritten."""
+    g = deltas[-1]
+    last = len(layers) - 1
+    for li in range(last, -1, -1):
+        gw, gb = glayers[li]
+        if li < last or squash_output:
+            a = acts[li + 1]     # through the tanh: g * (1 - a*a)
+            np.multiply(a, a, out=a)
+            np.subtract(1.0, a, out=a)
+            g *= a
+        np.matmul(g.T, acts[li], out=gw)
+        np.sum(g, axis=0, out=gb)
+        if li:   # the gradient w.r.t. the input itself is never needed
+            g = np.matmul(g, layers[li][0], out=deltas[li - 1])
 
 
 def mlp_backward(flat: np.ndarray, layer_sizes, acts, dout: np.ndarray,
-                 squash_output: bool = True) -> np.ndarray:
-    """Gradient of sum(output * dout) w.r.t. the flat parameter vector."""
-    layers = unpack_layers(flat, layer_sizes)
-    grad = np.zeros_like(flat)
-    glayers = unpack_layers(grad, layer_sizes)
-    g = dout
-    last = len(layers) - 1
-    for li in range(last, -1, -1):
-        w, _ = layers[li]
-        gw, gb = glayers[li]
-        if li < last or squash_output:
-            g = g * (1.0 - acts[li + 1] ** 2)
-        gw += g.T @ acts[li]
-        gb += g.sum(axis=0)
-        if li:   # the gradient w.r.t. the input itself is never needed
-            g = g @ w
+                 squash_output: bool = True, grad: np.ndarray | None = None
+                 ) -> np.ndarray:
+    """Gradient of sum(output * dout) w.r.t. the flat parameter vector,
+    written into `grad` (a new array if None) and returned. `acts` and
+    `dout` are left as they are."""
+    grad = np.empty_like(flat) if grad is None else grad
+    _backprop(unpack_layers(flat, layer_sizes), unpack_layers(grad, layer_sizes),
+              [acts[0]] + [a.copy() for a in acts[1:]],
+              [np.empty_like(a) for a in acts[1:-1]] + [np.array(dout, np.float64)],
+              squash_output)
     return grad
+
+
+class Adam:
+    """Adam with the usual constants. step() updates the parameters and both
+    moments in place, with two scratch vectors and no allocation, and
+    returns `params`."""
+
+    def __init__(self, size: int, lr: float):
+        self.lr = lr
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+        self._a = np.empty(size)
+        self._b = np.empty(size)
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.t += 1
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= 0.9                                # m = 0.9*m + 0.1*g
+        m += np.multiply(0.1, grad, out=a)
+        v *= 0.999                              # v = 0.999*v + (0.001*g)*g
+        np.multiply(0.001, grad, out=a)
+        a *= grad
+        v += a
+        np.divide(m, 1.0 - 0.9 ** self.t, out=a)        # mhat
+        a *= self.lr
+        np.divide(v, 1.0 - 0.999 ** self.t, out=b)      # vhat
+        np.sqrt(b, out=b)
+        b += 1e-8
+        a /= b
+        params -= a          # params - (lr*mhat) / (sqrt(vhat) + 1e-8)
+        return params
+
+
+class MinibatchFit:
+    """Adam on a tanh MLP over minibatches of rows, in place. `params` holds
+    the network's flat vector (`flat`, a view), then any extra parameters
+    (PPO's log-std); `grad` has the same layout. The (W, b) views are
+    unpacked once, and the activation and delta buffers are allocated once
+    per minibatch size, so a step allocates no array."""
+
+    def __init__(self, params: np.ndarray, layer_sizes, lr: float,
+                 squash_output: bool = True):
+        n = param_count(layer_sizes)
+        self.params = params
+        self.flat = params[:n]
+        self.grad = np.empty_like(params)
+        self.layer_sizes = layer_sizes
+        self.squash_output = squash_output
+        self._layers = unpack_layers(self.flat, layer_sizes)
+        self._glayers = unpack_layers(self.grad[:n], layer_sizes)
+        self._opt = Adam(params.size, lr)
+        self._buffers = {}   # rows -> (activations, deltas)
+        self._current = None
+
+    def forward(self, X: np.ndarray, idx: np.ndarray):
+        """The network's output for the rows X[idx], and the buffer in which
+        to put the loss gradient w.r.t. that output before backward()."""
+        rows = idx.size
+        if rows not in self._buffers:
+            self._buffers[rows] = (
+                [np.empty((rows, k)) for k in self.layer_sizes],
+                [np.empty((rows, k)) for k in self.layer_sizes[1:]])
+        self._current = acts, deltas = self._buffers[rows]
+        np.take(X, idx, axis=0, out=acts[0], mode="clip")   # "raise" would buffer
+        out, _ = run_layers(self._layers, acts[0], self.squash_output, out=acts[1:])
+        return out, deltas[-1]
+
+    def backward(self) -> None:
+        """The network's part of `grad`, from the last forward() and the
+        loss gradient put in its buffer. Overwrites the activations."""
+        _backprop(self._layers, self._glayers, *self._current, self.squash_output)
+
+    def step(self) -> None:
+        self._opt.step(self.params, self.grad)
+
+    def mse_step(self, X: np.ndarray, Y: np.ndarray, idx: np.ndarray) -> None:
+        """One Adam step on the mean squared error of the rows X[idx] against
+        the targets Y[idx] (rows, output width)."""
+        out, dout = self.forward(X, idx)
+        np.take(Y, idx, axis=0, out=dout, mode="clip")
+        np.subtract(out, dout, out=dout)        # 2 * (out - Y) / rows
+        dout *= 2.0
+        dout /= idx.size
+        self.backward()
+        self.step()
 
 
 # -- PPO-clip -------------------------------------------------------------------
@@ -370,13 +472,11 @@ def ppo_surrogate(logp_new: np.ndarray, logp_old: np.ndarray,
     return float(np.mean(np.minimum(ratio * adv, clipped * adv)))
 
 
-def ppo_policy_gradient(flat: np.ndarray, log_std: np.ndarray, layer_sizes,
-                        obs: np.ndarray, act: np.ndarray,
+def _surrogate_gradient(mean: np.ndarray, act: np.ndarray, log_std: np.ndarray,
                         logp_old: np.ndarray, adv: np.ndarray,
                         clip_ratio: float):
-    """Loss (negative surrogate) plus its gradients w.r.t. the policy
-    parameters and the log-std vector."""
-    mean, acts = mlp_forward(flat, layer_sizes, obs * OBS_SCALE)
+    """Loss (negative surrogate) plus its gradients w.r.t. the mean action
+    and the log-std vector."""
     logp_new = gaussian_logp(act, mean, log_std)
     ratio = np.exp(logp_new - logp_old)
     clipped = np.clip(ratio, 1.0 - clip_ratio, 1.0 + clip_ratio)
@@ -384,14 +484,25 @@ def ppo_policy_gradient(flat: np.ndarray, log_std: np.ndarray, layer_sizes,
     use_unclipped = unclipped_term <= clipped * adv
     loss = -float(np.mean(np.minimum(unclipped_term, clipped * adv)))
 
-    B = obs.shape[0]
+    B = act.shape[0]
     dlogp = np.where(use_unclipped, -unclipped_term / B, 0.0)
     std = np.exp(log_std)
     dmean = dlogp[:, None] * (act - mean) / (std * std)
-    grad_flat = mlp_backward(flat, layer_sizes, acts, dmean)
     z2 = ((act - mean) / std) ** 2
     grad_log_std = (dlogp[:, None] * (z2 - 1.0)).sum(axis=0)
-    return loss, grad_flat, grad_log_std
+    return loss, dmean, grad_log_std
+
+
+def ppo_policy_gradient(flat: np.ndarray, log_std: np.ndarray, layer_sizes,
+                        obs: np.ndarray, act: np.ndarray,
+                        logp_old: np.ndarray, adv: np.ndarray,
+                        clip_ratio: float):
+    """Loss (negative surrogate) plus its gradients w.r.t. the policy
+    parameters and the log-std vector."""
+    mean, acts = mlp_forward(flat, layer_sizes, obs * OBS_SCALE)
+    loss, dmean, grad_log_std = _surrogate_gradient(mean, act, log_std, logp_old,
+                                                    adv, clip_ratio)
+    return loss, mlp_backward(flat, layer_sizes, acts, dmean), grad_log_std
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
@@ -412,22 +523,6 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
         last = delta + gamma * lam * last
         adv[t] = last
     return adv, adv + values[:-1]
-
-
-class Adam:
-    def __init__(self, size: int, lr: float):
-        self.lr = lr
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        self.t += 1
-        self.m = 0.9 * self.m + 0.1 * grad
-        self.v = 0.999 * self.v + 0.001 * grad * grad
-        mhat = self.m / (1.0 - 0.9 ** self.t)
-        vhat = self.v / (1.0 - 0.999 ** self.t)
-        return params - self.lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def ppo_gradient_check(seed: int = 0, trials: int = 5,
@@ -466,11 +561,13 @@ def ppo_gradient_check(seed: int = 0, trials: int = 5,
 
 class _GaussianPolicy(NetworkPolicy):
     """PPO's behaviour policy: the network's mean action (float64 weights)
-    plus Gaussian noise with std exp(log_std), one generator per episode."""
+    plus Gaussian noise with std exp(log_std), one generator per episode.
+    It keeps copies of `flat` and `log_std`, so later in-place updates of
+    the trainer's buffer do not reach it."""
 
     def __init__(self, flat: np.ndarray, layer_sizes, log_std: np.ndarray,
                  noise_seeds):
-        self._population = population_layers(flat[None], layer_sizes)
+        self._population = population_layers(flat[None].copy(), layer_sizes)
         self._std = np.exp(log_std)
         self._noise_seeds = noise_seeds
 
@@ -505,12 +602,14 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     value_sizes = (n_obs, *cfg.hidden_sizes, 1)
 
     init_rng = np.random.default_rng([cfg.master_seed, 20])
-    flat = _init_mlp(init_rng, layer_sizes)
-    vflat = _init_mlp(init_rng, value_sizes)
-    log_std = np.full(2, cfg.log_std_init)
-
-    opt_pi = Adam(flat.size + 2, cfg.step_size)
-    opt_v = Adam(vflat.size, cfg.step_size)
+    # the policy's parameters and log-std packed in one buffer; flat and
+    # log_std are views into it, updated in place
+    pi = MinibatchFit(np.concatenate([_init_mlp(init_rng, layer_sizes),
+                                      np.full(2, cfg.log_std_init)]),
+                      layer_sizes, cfg.step_size)
+    vf = MinibatchFit(_init_mlp(init_rng, value_sizes), value_sizes,
+                      cfg.step_size, squash_output=False)
+    flat, log_std = pi.flat, pi.params[-2:]
     iter_log: list[dict] = []
 
     for it in range(cfg.iterations):
@@ -524,13 +623,14 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
         ep_returns = [res.ret for res in results]
         obs_b = np.concatenate([res.observations(full_cfg.world) for res in results])
         act_b = np.concatenate([res.track["action"] for res in results])
-        mean, _ = mlp_forward(flat, layer_sizes, obs_b * OBS_SCALE)
+        x_b = obs_b * OBS_SCALE
+        mean, _ = mlp_forward(flat, layer_sizes, x_b)
         logp_b = gaussian_logp(act_b, mean, log_std)
         # values of every visited state, then of the states the episodes ended in
         obs_end = encode_observation(
             *(np.stack([res.final[k] for res in results]) for k in STATES),
             full_cfg.world)
-        v, _ = mlp_forward(vflat, value_sizes,
+        v, _ = mlp_forward(vf.flat, value_sizes,
                            np.concatenate([obs_b, obs_end]) * OBS_SCALE,
                            squash_output=False)
         n = obs_b.shape[0]
@@ -550,20 +650,13 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
                 [cfg.master_seed, 5, it, epoch]).permutation(n)
             for start in range(0, n, cfg.minibatch):
                 idx = perm[start:start + cfg.minibatch]
-                _, g_flat, g_std = ppo_policy_gradient(
-                    flat, log_std, layer_sizes, obs_b[idx], act_b[idx],
-                    logp_b[idx], adv_b[idx], cfg.clip_ratio)
-                packed = opt_pi.step(np.concatenate([flat, log_std]),
-                                     np.concatenate([g_flat, g_std]))
-                flat, log_std = packed[:-2], packed[-2:]
-
-                v, vacts = mlp_forward(vflat, value_sizes,
-                                       obs_b[idx] * OBS_SCALE,
-                                       squash_output=False)
-                dv = 2.0 * (v[:, 0] - ret_b[idx])[:, None] / idx.size
-                gv = mlp_backward(vflat, value_sizes, vacts, dv,
-                                  squash_output=False)
-                vflat = opt_v.step(vflat, gv)
+                mean, dmean = pi.forward(x_b, idx)
+                _, dmean[...], pi.grad[-2:] = _surrogate_gradient(
+                    mean, act_b[idx], log_std, logp_b[idx], adv_b[idx],
+                    cfg.clip_ratio)
+                pi.backward()
+                pi.step()
+                vf.mse_step(x_b, ret_b[:, None], idx)
 
         iter_log.append({
             "iteration": it,

@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+from ssbl import training
 from ssbl.config import default_config
-from ssbl.policies import param_count, save_checkpoint
-from ssbl.training import (Adam, compute_gae, distill_baseline, ewma,
-                           gaussian_logp, mlp_forward, ppo_gradient_check,
-                           ppo_policy_gradient, ppo_surrogate,
-                           relative_performance, train, train_cem, train_ppo)
+from ssbl.policies import (OBS_SCALE, SffmPolicy, param_count, save_checkpoint,
+                           unpack_layers)
+from ssbl.training import (Adam, MinibatchFit, _GaussianPolicy, _init_mlp,
+                           compute_gae, distill_baseline, ewma, gaussian_logp,
+                           make_env, mlp_backward, mlp_forward,
+                           ppo_gradient_check, ppo_policy_gradient,
+                           ppo_surrogate, relative_performance, rollout, train,
+                           train_cem, train_ppo)
 
 
 def tiny_config(algo="cem"):
@@ -207,3 +211,175 @@ def test_ppo_smoke_train_runs_and_is_deterministic():
     assert np.array_equal(p1.flat_params, p2.flat_params)
     assert len(r1.iterations) == 1
     assert np.isfinite(r1.final_return)
+
+
+def test_behaviour_policy_does_not_see_later_updates_of_the_trainer():
+    """PPO's behaviour policy is built from views into the trainer's packed
+    buffer, which Adam then updates in place: the policy must keep the
+    weights it was built with."""
+    sizes = (22, 64, 64, 2)
+    rng = np.random.default_rng(11)
+    fit = MinibatchFit(np.concatenate([_init_mlp(rng, sizes), np.full(2, -0.5)]),
+                       sizes, lr=1e-2)
+    flat, log_std = fit.flat, fit.params[-2:]
+    obs = rng.normal(0.0, 3.0, (4, 22))
+
+    def actions(policy):
+        policy.begin_episode(range(4))
+        return policy.act(obs, None).tobytes()
+
+    def behaviour():
+        return _GaussianPolicy(flat, sizes, log_std, [[9, k] for k in range(4)])
+
+    policy = behaviour()
+    before = actions(policy)
+    assert Adam(fit.params.size, 1e-2).step(
+        fit.params, rng.normal(size=fit.params.size)) is fit.params
+    assert actions(policy) == before
+    assert actions(behaviour()) != before     # the buffer did change
+
+
+# -- the in-place fit against the allocating code it replaced ---------------------
+
+
+def reference_backward(flat, layer_sizes, acts, dout, squash_output=True):
+    """mlp_backward as it was: a zeroed gradient, accumulated into."""
+    layers = unpack_layers(flat, layer_sizes)
+    grad = np.zeros_like(flat)
+    glayers = unpack_layers(grad, layer_sizes)
+    g = dout
+    last = len(layers) - 1
+    for li in range(last, -1, -1):
+        w, _ = layers[li]
+        gw, gb = glayers[li]
+        if li < last or squash_output:
+            g = g * (1.0 - acts[li + 1] ** 2)
+        gw += g.T @ acts[li]
+        gb += g.sum(axis=0)
+        if li:
+            g = g @ w
+    return grad
+
+
+class ReferenceAdam:
+    """Adam.step as it was: new moment and parameter arrays every step."""
+
+    def __init__(self, size, lr):
+        self.lr = lr
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.t = 0
+
+    def step(self, params, grad):
+        self.t += 1
+        self.m = 0.9 * self.m + 0.1 * grad
+        self.v = 0.999 * self.v + 0.001 * grad * grad
+        mhat = self.m / (1.0 - 0.9 ** self.t)
+        vhat = self.v / (1.0 - 0.999 ** self.t)
+        return params - self.lr * mhat / (np.sqrt(vhat) + 1e-8)
+
+
+def reference_distill(layer_sizes, cfg, master_seed):
+    """distill_baseline as it was, on the same data; also returns the row
+    count."""
+    results = rollout(make_env(cfg), SffmPolicy(),
+                      [[master_seed, 6, i] for i in range(training.DISTILL_EPISODES)],
+                      record=True)
+    X = np.concatenate([r.observations(cfg.world) for r in results]) * OBS_SCALE
+    Y = np.concatenate([r.track["action"] for r in results])
+    rng = np.random.default_rng([master_seed, 7])
+    flat = _init_mlp(rng, layer_sizes)
+    opt = ReferenceAdam(flat.size, training.DISTILL_LR)
+    n, batch = X.shape[0], training.DISTILL_BATCH
+    for epoch in range(training.DISTILL_EPOCHS):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = perm[start:start + batch]
+            out, acts = mlp_forward(flat, layer_sizes, X[idx])
+            dout = 2.0 * (out - Y[idx]) / idx.size
+            flat = opt.step(flat, reference_backward(flat, layer_sizes, acts, dout))
+    return flat, n
+
+
+def check_distill_matches_reference(cfg, seed):
+    sizes = (22, *cfg.train.hidden_sizes, 2)
+    expected, rows = reference_distill(sizes, cfg, seed)
+    assert rows % training.DISTILL_BATCH, "the last minibatch should be partial"
+    assert distill_baseline(sizes, cfg, seed).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_distill_matches_the_allocating_fit(seed):
+    check_distill_matches_reference(tiny_config(), seed)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [2, 4])
+def test_distill_matches_the_allocating_fit_at_the_standard_net(seed):
+    cfg = default_config().validate()
+    assert tuple(cfg.train.hidden_sizes) == (64, 64)
+    check_distill_matches_reference(cfg, seed)
+
+
+def test_adam_in_place_matches_the_allocating_formula():
+    rng = np.random.default_rng(3)
+    n = 96
+    params = rng.normal(0.0, 0.5, n)
+    params[:6] = -0.0
+    expected = params.copy()
+    opt, ref = Adam(n, 3e-3), ReferenceAdam(n, 3e-3)
+    for step in range(30):
+        g = rng.normal(0.0, 1.0, n)
+        g[rng.random(n) < 0.2] = 0.0
+        g[rng.random(n) < 0.2] = -0.0
+        if step % 4 == 0:
+            g[:24] = -0.0        # stretches that stay zero for a while
+        assert opt.step(params, g) is params
+        expected = ref.step(expected, g)
+        assert params.tobytes() == expected.tobytes(), step
+        assert opt.m.tobytes() == ref.m.tobytes()
+        assert opt.v.tobytes() == ref.v.tobytes()
+
+
+def test_backward_into_a_reused_buffer_matches_a_fresh_one():
+    """Batches of 256, then 100, then 256 rows again, through mlp_backward
+    into one reused gradient and through the fit's per-size buffers: stale
+    rows or stale gradient entries would change the bytes."""
+    sizes = (22, 64, 64, 2)
+    rng = np.random.default_rng(5)
+    flat = _init_mlp(rng, sizes)
+    X = rng.normal(0.0, 0.5, (700, 22))
+    Y = rng.uniform(-1.0, 1.0, (700, 2))
+    fit = MinibatchFit(flat.copy(), sizes, lr=1e-3)
+    reused = np.empty_like(flat)
+    for rows in (256, 100, 256):
+        idx = rng.permutation(700)[:rows]
+        out, acts = mlp_forward(flat, sizes, X[idx])
+        dout = 2.0 * (out - Y[idx]) / rows
+        kept = [a.copy() for a in acts], dout.copy()
+        fresh = mlp_backward(flat, sizes, acts, dout)
+        assert mlp_backward(flat, sizes, acts, dout, grad=reused) is reused
+        assert reused.tobytes() == fresh.tobytes()
+        assert all(a.tobytes() == k.tobytes() for a, k in zip(acts, kept[0]))
+        assert dout.tobytes() == kept[1].tobytes()
+        # equal to the old accumulated gradient, up to the sign of zero
+        np.testing.assert_array_equal(fresh, reference_backward(flat, sizes, acts, dout))
+
+        fit_out, fit_dout = fit.forward(X, idx)
+        assert fit_out.tobytes() == out.tobytes()
+        fit_dout[...] = dout
+        fit.backward()
+        assert fit.grad.tobytes() == fresh.tobytes()
+
+
+def test_forward_without_buffers_returns_new_arrays():
+    sizes = (22, 64, 64, 2)
+    rng = np.random.default_rng(6)
+    flat = _init_mlp(rng, sizes)
+    X = rng.normal(0.0, 0.5, (32, 22))
+    out1, acts1 = mlp_forward(flat, sizes, X)
+    out2, acts2 = mlp_forward(flat, sizes, X)
+    assert out1.tobytes() == out2.tobytes()
+    assert not np.shares_memory(out1, out2)
+    for a, b in zip(acts1[1:], acts2[1:]):
+        assert not np.shares_memory(a, b)
