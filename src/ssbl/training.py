@@ -246,7 +246,8 @@ def distill_baseline(layer_sizes, full_cfg: FullConfig,
     Y = np.concatenate([r.track["action"] for r in results])
 
     rng = np.random.default_rng([master_seed, 7])
-    fit = MinibatchFit(_init_mlp(rng, layer_sizes), layer_sizes, DISTILL_LR)
+    fit = MinibatchFit(_init_mlp(rng, layer_sizes), layer_sizes, DISTILL_LR,
+                       DISTILL_BATCH)
     n = X.shape[0]
     for epoch in range(DISTILL_EPOCHS):
         perm = rng.permutation(n)
@@ -352,12 +353,10 @@ def _backprop(layers, glayers, acts, deltas, squash_output: bool) -> None:
 
 
 def mlp_backward(flat: np.ndarray, layer_sizes, acts, dout: np.ndarray,
-                 squash_output: bool = True, grad: np.ndarray | None = None
-                 ) -> np.ndarray:
-    """Gradient of sum(output * dout) w.r.t. the flat parameter vector,
-    written into `grad` (a new array if None) and returned. `acts` and
-    `dout` are left as they are."""
-    grad = np.empty_like(flat) if grad is None else grad
+                 squash_output: bool = True) -> np.ndarray:
+    """Gradient of sum(output * dout) w.r.t. the flat parameter vector, as a
+    new array. `acts` and `dout` are left as they are."""
+    grad = np.empty_like(flat)
     _backprop(unpack_layers(flat, layer_sizes), unpack_layers(grad, layer_sizes),
               [acts[0]] + [a.copy() for a in acts[1:]],
               [np.empty_like(a) for a in acts[1:-1]] + [np.array(dout, np.float64)],
@@ -401,32 +400,30 @@ class MinibatchFit:
     """Adam on a tanh MLP over minibatches of rows, in place. `params` holds
     the network's flat vector (`flat`, a view), then any extra parameters
     (PPO's log-std); `grad` has the same layout. The (W, b) views are
-    unpacked once, and the activation and delta buffers are allocated once
-    per minibatch size, so a step allocates no array."""
+    unpacked once, and one set of activation and delta buffers is allocated
+    at `batch` rows, the largest minibatch; a shorter one uses their leading
+    rows. A step allocates no array."""
 
-    def __init__(self, params: np.ndarray, layer_sizes, lr: float,
+    def __init__(self, params: np.ndarray, layer_sizes, lr: float, batch: int,
                  squash_output: bool = True):
         n = param_count(layer_sizes)
         self.params = params
         self.flat = params[:n]
         self.grad = np.empty_like(params)
-        self.layer_sizes = layer_sizes
         self.squash_output = squash_output
         self._layers = unpack_layers(self.flat, layer_sizes)
         self._glayers = unpack_layers(self.grad[:n], layer_sizes)
         self._opt = Adam(params.size, lr)
-        self._buffers = {}   # rows -> (activations, deltas)
+        self._acts = [np.empty((batch, k)) for k in layer_sizes]
+        self._deltas = [np.empty((batch, k)) for k in layer_sizes[1:]]
         self._current = None
 
     def forward(self, X: np.ndarray, idx: np.ndarray):
         """The network's output for the rows X[idx], and the buffer in which
         to put the loss gradient w.r.t. that output before backward()."""
         rows = idx.size
-        if rows not in self._buffers:
-            self._buffers[rows] = (
-                [np.empty((rows, k)) for k in self.layer_sizes],
-                [np.empty((rows, k)) for k in self.layer_sizes[1:]])
-        self._current = acts, deltas = self._buffers[rows]
+        self._current = acts, deltas = ([a[:rows] for a in self._acts],
+                                        [d[:rows] for d in self._deltas])
         np.take(X, idx, axis=0, out=acts[0], mode="clip")   # "raise" would buffer
         out, _ = run_layers(self._layers, acts[0], self.squash_output, out=acts[1:])
         return out, deltas[-1]
@@ -606,9 +603,9 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     # log_std are views into it, updated in place
     pi = MinibatchFit(np.concatenate([_init_mlp(init_rng, layer_sizes),
                                       np.full(2, cfg.log_std_init)]),
-                      layer_sizes, cfg.step_size)
+                      layer_sizes, cfg.step_size, cfg.minibatch)
     vf = MinibatchFit(_init_mlp(init_rng, value_sizes), value_sizes,
-                      cfg.step_size, squash_output=False)
+                      cfg.step_size, cfg.minibatch, squash_output=False)
     flat, log_std = pi.flat, pi.params[-2:]
     iter_log: list[dict] = []
 

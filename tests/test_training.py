@@ -220,7 +220,7 @@ def test_behaviour_policy_does_not_see_later_updates_of_the_trainer():
     sizes = (22, 64, 64, 2)
     rng = np.random.default_rng(11)
     fit = MinibatchFit(np.concatenate([_init_mlp(rng, sizes), np.full(2, -0.5)]),
-                       sizes, lr=1e-2)
+                       sizes, lr=1e-2, batch=64)
     flat, log_std = fit.flat, fit.params[-2:]
     obs = rng.normal(0.0, 3.0, (4, 22))
 
@@ -342,24 +342,22 @@ def test_adam_in_place_matches_the_allocating_formula():
 
 
 def test_backward_into_a_reused_buffer_matches_a_fresh_one():
-    """Batches of 256, then 100, then 256 rows again, through mlp_backward
-    into one reused gradient and through the fit's per-size buffers: stale
-    rows or stale gradient entries would change the bytes."""
+    """Minibatches of 256 rows and of several shorter remainders, through the
+    fit's one set of buffers, against mlp_forward and mlp_backward into fresh
+    arrays: stale rows or stale gradient entries would change the bytes."""
     sizes = (22, 64, 64, 2)
     rng = np.random.default_rng(5)
     flat = _init_mlp(rng, sizes)
     X = rng.normal(0.0, 0.5, (700, 22))
     Y = rng.uniform(-1.0, 1.0, (700, 2))
-    fit = MinibatchFit(flat.copy(), sizes, lr=1e-3)
-    reused = np.empty_like(flat)
-    for rows in (256, 100, 256):
+    fit = MinibatchFit(flat.copy(), sizes, lr=1e-3, batch=256)
+    buffers = fit._acts + fit._deltas
+    for rows in (256, 100, 256, 10, 29, 255, 1, 256):
         idx = rng.permutation(700)[:rows]
         out, acts = mlp_forward(flat, sizes, X[idx])
         dout = 2.0 * (out - Y[idx]) / rows
         kept = [a.copy() for a in acts], dout.copy()
         fresh = mlp_backward(flat, sizes, acts, dout)
-        assert mlp_backward(flat, sizes, acts, dout, grad=reused) is reused
-        assert reused.tobytes() == fresh.tobytes()
         assert all(a.tobytes() == k.tobytes() for a, k in zip(acts, kept[0]))
         assert dout.tobytes() == kept[1].tobytes()
         # equal to the old accumulated gradient, up to the sign of zero
@@ -370,6 +368,11 @@ def test_backward_into_a_reused_buffer_matches_a_fresh_one():
         fit_dout[...] = dout
         fit.backward()
         assert fit.grad.tobytes() == fresh.tobytes()
+        # every minibatch size runs in the buffers made at construction
+        assert all(a is b for a, b in zip(fit._acts + fit._deltas, buffers))
+        assert all(b.shape[0] == 256 for b in buffers)
+        assert np.shares_memory(fit_out, buffers[len(sizes) - 1])
+        assert np.shares_memory(fit_dout, buffers[-1])
 
 
 def test_forward_without_buffers_returns_new_arrays():
