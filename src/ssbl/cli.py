@@ -3,8 +3,7 @@
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error.
 Every command steps all its episodes of one policy as one batch in this
-process. The environment variable SSBL_THREADS is still read and must be an
-integer, but it no longer changes anything.
+process.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -38,16 +36,6 @@ def _load_cfg(args) -> FullConfig:
     return cfg.validate()
 
 
-def _check_threads() -> None:
-    """SSBL_THREADS is still accepted and must be an integer; since every
-    command steps its episodes as one batch, it changes nothing."""
-    raw = os.environ.get("SSBL_THREADS", "1")
-    try:
-        int(raw)
-    except ValueError as e:
-        raise ConfigError(f"SSBL_THREADS must be an integer, got {raw!r}") from e
-
-
 def _check_episodes(n: int) -> None:
     if n < 1:
         raise ConfigError(f"--episodes must be at least 1, got {n}")
@@ -56,7 +44,6 @@ def _check_episodes(n: int) -> None:
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     _check_episodes(args.episodes)
-    _check_threads()
     policy = make_policy(args.policy, cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -150,10 +150,15 @@ _FIELD_TYPES = {
 }
 
 
-def _apply(obj, section, name: str, keys=None) -> None:
+def _keys(obj, keys) -> tuple[str, ...]:
+    """A section's keys: `keys`, or else every field of its object."""
+    return keys or tuple(f.name for f in dataclasses.fields(obj))
+
+
+def _apply(obj, section, name: str, keys) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
-    valid = keys or {f.name for f in dataclasses.fields(obj)}
+    valid = _keys(obj, keys)
     for key, value in section.items():
         if key not in valid:
             raise ConfigError(f"unknown key {key!r} in config section {name!r}")
@@ -175,22 +180,13 @@ def config_from_dict(data: dict) -> FullConfig:
 
 
 def config_to_dict(cfg: FullConfig) -> dict:
-    def plain(obj) -> dict:
-        out = {}
-        for f in dataclasses.fields(obj):
-            v = getattr(obj, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else v
-        return out
-
-    return {
-        "world": plain(cfg.world),
-        "proxemics": plain(cfg.proxemics),
-        "spawn": plain(cfg.episode.spawn),
-        "reward_weights": plain(cfg.episode.weights),
-        "episode": {k: getattr(cfg.episode, k) for k in _EPISODE_KEYS},
-        "train": plain(cfg.train),
-        "sha_controller": plain(cfg.sha_gains),
-    }
+    doc = {}
+    for name, (get, keys) in _SECTIONS.items():
+        obj = get(cfg)
+        values = {k: getattr(obj, k) for k in _keys(obj, keys)}
+        doc[name] = {k: list(v) if isinstance(v, tuple) else v
+                     for k, v in values.items()}
+    return doc
 
 
 def load_config(path: str | Path) -> FullConfig:

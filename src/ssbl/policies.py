@@ -61,11 +61,11 @@ def run_layers(layers, X: np.ndarray, squash_output: bool = True,
     h = X
     last = len(layers) - 1
     for li, (w, b) in enumerate(layers):
-        if out is None:
-            h = (h @ w.T if subscripts is None else np.einsum(subscripts, w, h)) + b
+        if subscripts is None:
+            h = np.matmul(h, w.T, out=None if out is None else out[li])
         else:
-            h = np.matmul(h, w.T, out=out[li])
-            h += b
+            h = np.einsum(subscripts, w, h)
+        h += b
         if li < last or squash_output:
             np.tanh(h, out=h)
         acts.append(h)

@@ -12,7 +12,6 @@ k*I, so a point mass sitting at its own mean scores exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,18 +23,6 @@ class FeaturePoint(NamedTuple):
     x: float
     y: float
     rho: float
-
-
-@dataclass(slots=True)
-class SaevConfig:
-    k: float = 1.0          # presence kernel width (pixels^2)
-    w_err: float = 1.0      # reconstruction loss weight
-    w_pre: float = 1.0      # presence loss weight
-    w_smooth: float = 1.0   # smoothness loss weight
-
-    def validate(self) -> None:
-        if self.k <= 0.0:
-            raise ValueError(f"kernel width k must be positive, got {self.k}")
 
 
 def _coord_grids(w: int, h: int) -> tuple[np.ndarray, np.ndarray]:

@@ -56,8 +56,7 @@ STEPS = ("action", *REWARD_KEYS)
 
 @dataclass(slots=True)
 class RolloutResult:
-    """One episode of a rollout, with the state it ended in (`final`, one
-    array per STATES name). A recorded one also keeps its `track`, one
+    """One episode of a rollout. A recorded one also keeps its `track`, one
     array per STATES and STEPS name, from which its step records and
     observations are cut when read."""
 
@@ -65,7 +64,6 @@ class RolloutResult:
     ret: float
     steps: int
     success: bool
-    final: dict
     track: dict | None = None
 
     @property
@@ -100,7 +98,6 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
     ret = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     success = np.zeros(n, dtype=bool)
-    final = {k: np.empty_like(getattr(env, k)) for k in STATES}
     states = [(lanes, env.pos, env.vel, env.heading)]
     ticks = []
     while lanes.size:
@@ -114,8 +111,6 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
             ended = lanes[done]
             steps[ended] = env.t[done]
             success[ended] = env.success[done]
-            for k in STATES:
-                final[k][ended] = getattr(env, k)[done]
             running = ~done
             lanes = lanes[running]
             if lanes.size:
@@ -127,7 +122,7 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
         tracks = [dict(zip(STATES + STEPS, s + a)) for s, a in
                   zip(_per_lane(states, steps + 1), _per_lane(ticks, steps))]
     return [RolloutResult(seed, float(ret[b]), int(steps[b]), bool(success[b]),
-                          {k: final[k][b] for k in STATES}, tracks[b])
+                          tracks[b])
             for b, seed in enumerate(seeds)]
 
 
@@ -332,38 +327,6 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
 # -- fitting a tanh MLP in place: distillation and PPO ---------------------------
 
 
-def _backprop(layers, glayers, acts, deltas, squash_output: bool) -> None:
-    """Gradient of sum(output * deltas[-1]) into `glayers`, the (W, b) views
-    of a gradient vector. `acts` are the forward pass's activations;
-    deltas[li] is the buffer for the gradient w.r.t. layer li's output.
-    Every buffer but acts[0] is overwritten."""
-    g = deltas[-1]
-    last = len(layers) - 1
-    for li in range(last, -1, -1):
-        gw, gb = glayers[li]
-        if li < last or squash_output:
-            a = acts[li + 1]     # through the tanh: g * (1 - a*a)
-            np.multiply(a, a, out=a)
-            np.subtract(1.0, a, out=a)
-            g *= a
-        np.matmul(g.T, acts[li], out=gw)
-        np.sum(g, axis=0, out=gb)
-        if li:   # the gradient w.r.t. the input itself is never needed
-            g = np.matmul(g, layers[li][0], out=deltas[li - 1])
-
-
-def mlp_backward(flat: np.ndarray, layer_sizes, acts, dout: np.ndarray,
-                 squash_output: bool = True) -> np.ndarray:
-    """Gradient of sum(output * dout) w.r.t. the flat parameter vector, as a
-    new array. `acts` and `dout` are left as they are."""
-    grad = np.empty_like(flat)
-    _backprop(unpack_layers(flat, layer_sizes), unpack_layers(grad, layer_sizes),
-              [acts[0]] + [a.copy() for a in acts[1:]],
-              [np.empty_like(a) for a in acts[1:-1]] + [np.array(dout, np.float64)],
-              squash_output)
-    return grad
-
-
 class Adam:
     """Adam with the usual constants. step() updates the parameters and both
     moments in place, with two scratch vectors and no allocation, and
@@ -430,8 +393,22 @@ class MinibatchFit:
 
     def backward(self) -> None:
         """The network's part of `grad`, from the last forward() and the
-        loss gradient put in its buffer. Overwrites the activations."""
-        _backprop(self._layers, self._glayers, *self._current, self.squash_output)
+        loss gradient put in its buffer: the gradient of sum(output * that
+        buffer). Overwrites every buffer but the input rows."""
+        acts, deltas = self._current
+        g = deltas[-1]
+        last = len(self._layers) - 1
+        for li in range(last, -1, -1):
+            gw, gb = self._glayers[li]
+            if li < last or self.squash_output:
+                a = acts[li + 1]     # through the tanh: g * (1 - a*a)
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                g *= a
+            np.matmul(g.T, acts[li], out=gw)
+            np.sum(g, axis=0, out=gb)
+            if li:   # the gradient w.r.t. the input itself is never needed
+                g = np.matmul(g, self._layers[li][0], out=deltas[li - 1])
 
     def step(self) -> None:
         self._opt.step(self.params, self.grad)
@@ -490,16 +467,29 @@ def _surrogate_gradient(mean: np.ndarray, act: np.ndarray, log_std: np.ndarray,
     return loss, dmean, grad_log_std
 
 
+def _policy_gradient(pi: MinibatchFit, X: np.ndarray, idx: np.ndarray,
+                     act: np.ndarray, logp_old: np.ndarray, adv: np.ndarray,
+                     clip_ratio: float) -> float:
+    """The loss (negative surrogate) on the rows X[idx] of the policy fit
+    `pi`, whose last two parameters are the log-std; its gradient is left
+    in pi.grad."""
+    mean, dmean = pi.forward(X, idx)
+    loss, dmean[...], pi.grad[-2:] = _surrogate_gradient(
+        mean, act[idx], pi.params[-2:], logp_old[idx], adv[idx], clip_ratio)
+    pi.backward()
+    return loss
+
+
 def ppo_policy_gradient(flat: np.ndarray, log_std: np.ndarray, layer_sizes,
                         obs: np.ndarray, act: np.ndarray,
                         logp_old: np.ndarray, adv: np.ndarray,
                         clip_ratio: float):
     """Loss (negative surrogate) plus its gradients w.r.t. the policy
-    parameters and the log-std vector."""
-    mean, acts = mlp_forward(flat, layer_sizes, obs * OBS_SCALE)
-    loss, dmean, grad_log_std = _surrogate_gradient(mean, act, log_std, logp_old,
-                                                    adv, clip_ratio)
-    return loss, mlp_backward(flat, layer_sizes, acts, dmean), grad_log_std
+    parameters and the log-std vector, through the fit PPO trains with."""
+    pi = MinibatchFit(np.concatenate([flat, log_std]), layer_sizes, 0.0, len(obs))
+    loss = _policy_gradient(pi, obs * OBS_SCALE, np.arange(len(obs)), act,
+                            logp_old, adv, clip_ratio)
+    return loss, pi.grad[:-2], pi.grad[-2:]
 
 
 def compute_gae(rewards: np.ndarray, values: np.ndarray, gamma: float,
@@ -625,7 +615,7 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
         logp_b = gaussian_logp(act_b, mean, log_std)
         # values of every visited state, then of the states the episodes ended in
         obs_end = encode_observation(
-            *(np.stack([res.final[k] for res in results]) for k in STATES),
+            *(np.stack([res.track[k][-1] for res in results]) for k in STATES),
             full_cfg.world)
         v, _ = mlp_forward(vf.flat, value_sizes,
                            np.concatenate([obs_b, obs_end]) * OBS_SCALE,
@@ -647,11 +637,8 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
                 [cfg.master_seed, 5, it, epoch]).permutation(n)
             for start in range(0, n, cfg.minibatch):
                 idx = perm[start:start + cfg.minibatch]
-                mean, dmean = pi.forward(x_b, idx)
-                _, dmean[...], pi.grad[-2:] = _surrogate_gradient(
-                    mean, act_b[idx], log_std, logp_b[idx], adv_b[idx],
-                    cfg.clip_ratio)
-                pi.backward()
+                _policy_gradient(pi, x_b, idx, act_b, logp_b, adv_b,
+                                 cfg.clip_ratio)
                 pi.step()
                 vf.mse_step(x_b, ret_b[:, None], idx)
 

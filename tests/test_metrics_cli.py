@@ -89,6 +89,12 @@ def test_config_hash_changes_with_content():
     assert config_hash(a) != config_hash(b)
 
 
+def test_default_config_hash_is_pinned():
+    """Every artifact embeds this hash: a change of a default, a key or the
+    canonical form changes it, and with it every checkpoint's match."""
+    assert config_hash(default_config()) == "f0b054dc0a31579e"
+
+
 # -- simulate -----------------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssbl.fdcheck import central_diff_grad, max_rel_err
-from ssbl.spatial_features import (FeaturePoint, SaevConfig, delta_map, encode,
+from ssbl.spatial_features import (FeaturePoint, delta_map, encode,
                        encode_vjp, encoding_vector, expected_coordinates,
                        gradient_check, presence, presence_loss_grad,
                        saev_losses, spatial_softmax)
@@ -203,9 +203,3 @@ def test_presence_loss_grad_matches_fd():
 
     numeric = central_diff_grad(loss, logits.copy())
     assert max_rel_err(analytic, numeric) < 1e-6
-
-
-def test_saev_config_validation():
-    with pytest.raises(ValueError):
-        SaevConfig(k=0.0).validate()
-    SaevConfig().validate()

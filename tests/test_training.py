@@ -9,7 +9,7 @@ from ssbl.policies import (OBS_SCALE, SffmPolicy, param_count, save_checkpoint,
                            unpack_layers)
 from ssbl.training import (Adam, MinibatchFit, _GaussianPolicy, _init_mlp,
                            compute_gae, distill_baseline, ewma, gaussian_logp,
-                           make_env, mlp_backward, mlp_forward,
+                           make_env, mlp_forward,
                            ppo_gradient_check, ppo_policy_gradient,
                            ppo_surrogate, relative_performance, rollout, train,
                            train_cem, train_ppo)
@@ -167,6 +167,19 @@ def test_infinite_clip_degenerates_to_unclipped():
 
 def test_ppo_gradient_check_passes():
     assert ppo_gradient_check(seed=0) < 1e-4
+
+
+def test_gradient_check_catches_a_fault_in_the_training_fit(monkeypatch):
+    """The gate checks the backward pass that PPO trains with: a 1 % error
+    in the fit's network gradient must fail it."""
+    backward = MinibatchFit.backward
+
+    def faulty(self):
+        backward(self)
+        self.grad[:-2] *= 1.01
+
+    monkeypatch.setattr(MinibatchFit, "backward", faulty)
+    assert ppo_gradient_check(seed=0) >= 1e-4
 
 
 def test_zero_advantage_batch_gives_zero_update():
@@ -343,8 +356,8 @@ def test_adam_in_place_matches_the_allocating_formula():
 
 def test_backward_into_a_reused_buffer_matches_a_fresh_one():
     """Minibatches of 256 rows and of several shorter remainders, through the
-    fit's one set of buffers, against mlp_forward and mlp_backward into fresh
-    arrays: stale rows or stale gradient entries would change the bytes."""
+    fit's one set of buffers, against a fresh fit made at each row count:
+    stale rows or stale gradient entries would change the bytes."""
     sizes = (22, 64, 64, 2)
     rng = np.random.default_rng(5)
     flat = _init_mlp(rng, sizes)
@@ -356,18 +369,20 @@ def test_backward_into_a_reused_buffer_matches_a_fresh_one():
         idx = rng.permutation(700)[:rows]
         out, acts = mlp_forward(flat, sizes, X[idx])
         dout = 2.0 * (out - Y[idx]) / rows
-        kept = [a.copy() for a in acts], dout.copy()
-        fresh = mlp_backward(flat, sizes, acts, dout)
-        assert all(a.tobytes() == k.tobytes() for a, k in zip(acts, kept[0]))
-        assert dout.tobytes() == kept[1].tobytes()
+        fresh = MinibatchFit(flat.copy(), sizes, lr=1e-3, batch=rows)
+        fresh_out, fresh_dout = fresh.forward(X, idx)
+        assert fresh_out.tobytes() == out.tobytes()
+        fresh_dout[...] = dout
+        fresh.backward()
         # equal to the old accumulated gradient, up to the sign of zero
-        np.testing.assert_array_equal(fresh, reference_backward(flat, sizes, acts, dout))
+        np.testing.assert_array_equal(fresh.grad,
+                                      reference_backward(flat, sizes, acts, dout))
 
         fit_out, fit_dout = fit.forward(X, idx)
         assert fit_out.tobytes() == out.tobytes()
         fit_dout[...] = dout
         fit.backward()
-        assert fit.grad.tobytes() == fresh.tobytes()
+        assert fit.grad.tobytes() == fresh.grad.tobytes()
         # every minibatch size runs in the buffers made at construction
         assert all(a is b for a, b in zip(fit._acts + fit._deltas, buffers))
         assert all(b.shape[0] == 256 for b in buffers)
