@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: simulate | train | eval | compare | features-check.
-Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error.
+Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
+(an unplaceable spawn or a NaN or infinity bound for an output included).
 Every command steps all its episodes of one policy as one batch in this
 process.
 """
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import spatial_features
 from .config import (ConfigError, FullConfig, config_hash, default_config,
-                     load_config)
+                     dump_json, load_config)
+from .groups import SpawnError
 from .metrics import aggregate_stats, live_stats, run_compare
 from .policies import make_policy, save_checkpoint
 from .trajlog import make_header, write_trajectory
@@ -66,9 +68,7 @@ def cmd_simulate(args) -> int:
         "episodes": args.episodes,
         "runs": entries,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(manifest, out_dir / "manifest.json")
     print(f"wrote {len(entries)} episodes to {out_dir}")
     return EXIT_OK
 
@@ -87,12 +87,11 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     params, report = train(cfg.train, cfg)
 
+    # the report first: one that holds a NaN or infinity leaves no checkpoint
+    dump_json(report.to_dict(), out_dir / "report.json")
     ckpt = out_dir / "checkpoint.json"
     save_checkpoint(params, ckpt, config_hash=config_hash(cfg),
                     seed=cfg.train.master_seed)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"trained {report.algo} for {len(report.iterations)} iterations; "
           f"relative performance {report.relative_percent:.2f}% "
           f"(checkpoint: {ckpt})")
@@ -114,13 +113,9 @@ def cmd_eval(args) -> int:
         "metrics": aggregate_stats(stats).to_dict(),
         "per_episode": stats,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        print()
+    text = dump_json(doc, args.out)
+    if not args.out:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -162,10 +157,8 @@ def cmd_features_check(args) -> int:
     passed = all(checks.values()) and grad_report["passed"]
     doc = {"checks": checks, "gradient": grad_report, "passed": passed}
 
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
+    text = dump_json(doc, args.out)
+    if not args.out:
         sys.stdout.write(text)
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -230,10 +223,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as e:
+    except (ConfigError, SpawnError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -202,10 +202,21 @@ def load_config(path: str | Path) -> FullConfig:
     return config_from_dict(data)
 
 
+def dump_json(doc, path: str | Path | None = None) -> str:
+    """`doc` as JSON text, indented, keys sorted, with a trailing newline,
+    also written to `path` when one is given. A NaN or an infinity in `doc`
+    is a ConfigError naming the file, and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ConfigError(f"cannot write {path or 'standard output'}: {e}") from e
+    if path is not None:
+        Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
 def save_config(cfg: FullConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(config_to_dict(cfg), path)
 
 
 def config_hash(cfg: FullConfig) -> str:

@@ -18,18 +18,19 @@ the zones nest (personal within social within public).
 Wherever a formula divides by a vector norm, a norm at or below EPS_DIR makes
 the force evaluate to zero instead.
 
-The simulation steps with `field_at`, the same laws at a batch of points;
-`combined_force` evaluates one point and is its reference.
+`field_at` is the one implementation: it evaluates the field at a batch of
+points and is what the simulation steps with. `combined_force` is
+`field_at` at a single point, with Vec2 results.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
 import numpy as np
 
-from .geometry import EPS_DIR, AgentState, ProxemicsConfig, Vec2, ZERO2
+from .geometry import EPS_DIR, AgentState, ProxemicsConfig, Vec2
 
 
 @dataclass(slots=True)
@@ -55,84 +56,15 @@ class ForceBreakdown:
 
 def combined_force(p: Vec2 | AgentState, others: list[AgentState],
                    prox: ProxemicsConfig, ospace: OSpace) -> ForceBreakdown:
-    """Evaluate all three forces at point `p` (an agent stands for its
-    position) in one pass over the neighbors `others`."""
+    """`field_at` at the one point `p` (an agent stands for its position)
+    from the neighbors `others`, each vector of the result a Vec2."""
     if isinstance(p, AgentState):
         p = p.position
-    px, py = p
-    d_personal, d_social, d_public = prox.d_personal, prox.d_social, prox.d_public
-    n_personal = n_public = 0
-    rx = ry = 0.0                  # personal offset sums
-    d_min = math.inf
-    cx, cy = px, py                # social centroid sums, p included
-    dex = dey = 0.0
-    dcx = dcy = 0.0
-    social = []
-    for a in others:
-        ax, ay = a.position
-        ox = ax - px
-        oy = ay - py
-        d = math.hypot(ox, oy)
-        if d <= d_public:
-            n_public += 1
-            dcx += ox
-            dcy += oy
-            if d <= d_social:
-                cx += ax
-                cy += ay
-                dex += ox
-                dey += oy
-                social.append((ax, ay))
-                if d <= d_personal:
-                    n_personal += 1
-                    rx += ox
-                    ry += oy
-                    if d < d_min:
-                        d_min = d
-
-    f_rx = f_ry = 0.0
-    if n_personal:
-        n = math.hypot(rx, ry)
-        if n > EPS_DIR:            # symmetric intruders cancel: no direction
-            mag = (d_personal - d_min) ** 2
-            f_rx, f_ry = -mag * (rx / n), -mag * (ry / n)
-
-    f_ex = f_ey = 0.0
-    d_e = d_c = ZERO2
-    n_social = len(social)
-    if n_social:
-        cx /= n_social + 1
-        cy /= n_social + 1
-        ex, ey = cx - px, cy - py
-        dist = math.hypot(ex, ey)
-        m = dist
-        for ax, ay in social:
-            m += math.hypot(cx - ax, cy - ay)
-        m /= n_social + 1
-        d_e = Vec2(dex, dey)
-        if dist > EPS_DIR:
-            coeff = 1.0 - m / dist
-            f_ex, f_ey = coeff * ex, coeff * ey
-
-    f_cx = f_cy = 0.0
-    if n_public:
-        d_c = Vec2(dcx, dcy)
-        alpha = n_public / (n_social + 1)
-        o = ospace.center
-        ox, oy = o.x - px, o.y - py
-        dist = math.hypot(ox, oy)
-        if dist > EPS_DIR:
-            coeff = alpha * (1.0 - ospace.radius / dist)
-            f_cx, f_cy = coeff * ox, coeff * oy
-
-    return ForceBreakdown(
-        repulsion=Vec2(f_rx, f_ry),
-        equality=Vec2(f_ex, f_ey),
-        cohesion=Vec2(f_cx, f_cy),
-        d_e=d_e,
-        d_c=d_c,
-        combined=Vec2(f_rx + f_ex + f_cx, f_ry + f_ey + f_cy),
-    )
+    neighbours = np.array([a.position for a in others]).reshape(-1, 1, 2)
+    bd = field_at(np.array([p]), neighbours, prox, np.array(ospace.center),
+                  np.array(ospace.radius))
+    return ForceBreakdown(*(Vec2(*getattr(bd, f.name)[0].tolist())
+                            for f in fields(ForceBreakdown)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,7 +95,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def field_at(points: np.ndarray, neighbours: np.ndarray,
              prox: ProxemicsConfig, center: np.ndarray,
              radius: np.ndarray) -> ForceBreakdown:
-    """`combined_force` at points (..., M, 2) from K neighbours each, given
+    """The field at points (..., M, 2) from K neighbours each, given
     neighbour-major (K, ..., M, 2), under the o-space center (..., 2) and
     radius (...) of each batch row; the zones are masks. An entry depends on
     its own point, neighbours and o-space alone."""

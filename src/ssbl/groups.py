@@ -34,6 +34,10 @@ class GroupSpawnSpec:
                 f"robot_min_dist ({self.robot_min_dist}) must exceed "
                 f"d_social ({prox.d_social})"
             )
+        if self.rng_seed != 0:
+            raise ValueError(
+                f"spawn.rng_seed must be 0, got {self.rng_seed}: episodes are "
+                "seeded from --seed and train.master_seed")
         half = world.floor_side / 2.0
         if self.center_region + self.separation / 2.0 >= half:
             raise ValueError("group spawn region does not fit inside the floor")

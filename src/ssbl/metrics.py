@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import FullConfig, config_hash
+from .config import FullConfig, config_hash, dump_json
 from .forces import ospace_of
 from .geometry import ProxemicsConfig
 from .policies import RandomPolicy, SffmPolicy, make_policy
@@ -181,9 +180,7 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
         episodes=episodes,
     )
 
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(report.to_dict(), out_dir / "report.json")
 
     csv_fields = ["episode", "policy", "return", "steps", "success",
                   "time_to_join", "path_length", "personal_violation_steps",

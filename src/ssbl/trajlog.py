@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .geometry import Role
 
 
@@ -73,15 +74,20 @@ def make_header(config_hash: str, seed, track: dict[str, np.ndarray]) -> dict:
     }
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
 def write_trajectory(path: str | Path, header: dict,
                      records: list[dict]) -> None:
+    """Write the header and step records, one JSON object a line. A NaN or
+    an infinity is a ConfigError naming the file."""
     encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode(header) + "\n")
-        fh.writelines(encode(rec) + "\n" for rec in records)
+        try:
+            fh.write(encode(header) + "\n")
+            fh.writelines(encode(rec) + "\n" for rec in records)
+        except ValueError as e:
+            raise ConfigError(f"cannot write {path}: {e}") from e
 
 
 def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:

@@ -2,6 +2,9 @@ import base64
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ssbl
 from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
                          load_config, save_config, config_hash, ConfigError)
@@ -173,15 +177,49 @@ def test_train_negative_iters_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_simulate_parallel_matches_sequential(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "seq", tmp_path / "par"
-    main(["simulate", "--policy", "random", "--seed", "3",
-          "--episodes", "2", "--out", str(out1)])
-    monkeypatch.setenv("SSBL_THREADS", "2")
-    main(["simulate", "--policy", "random", "--seed", "3",
-          "--episodes", "2", "--out", str(out2)])
-    for name in ("episode_000.jsonl", "episode_001.jsonl", "manifest.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+def _run_outputs(tmp_path: Path, blas_threads: int) -> dict[str, bytes]:
+    """One CEM and one PPO iteration and a simulate of the CEM checkpoint,
+    each a fresh process at `blas_threads` BLAS threads: every written file,
+    the reports without their wall clock."""
+    pythonpath = [str(Path(ssbl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    cfg = default_config()
+    cfg.episode.max_steps = 60
+    cfg.train.population = 4
+    cfg.train.eval_episodes = 2
+    cfg.train.rollout_episodes = 4
+    out = tmp_path / f"threads{blas_threads}"
+    out.mkdir()
+    save_config(cfg, out / "cfg.json")
+    commands = [["train", "--algo", algo, "--iters", "1", "--seed", "0",
+                 "--out", algo] for algo in ("cem", "ppo")]
+    commands.append(["simulate", "--policy", "cem/checkpoint.json",
+                     "--episodes", "2", "--out", "sim"])
+    for args in commands:    # paths relative to `out`, so the files can match
+        subprocess.run([sys.executable, "-m", "ssbl.cli", *args,
+                        "--config", "cfg.json"],
+                       cwd=out, env=env, check=True, capture_output=True)
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "report.json":
+                report = json.loads(data)
+                del report["wall_clock_s"]
+                data = json.dumps(report, sort_keys=True).encode()
+            files[str(path.relative_to(out))] = data
+    return files
+
+
+@pytest.mark.slow
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    one, two = _run_outputs(tmp_path, 1), _run_outputs(tmp_path, 2)
+    assert sorted(one) == sorted(two)
+    assert {"cem/checkpoint.json", "ppo/checkpoint.json", "cem/report.json",
+            "ppo/report.json", "sim/episode_001.jsonl"} <= set(one)
+    for name in one:
+        assert one[name] == two[name], name
 
 
 _POLICY_ARGS = {"simulate": ["--policy", "random"],
@@ -198,6 +236,43 @@ def test_nonpositive_episodes_exit_2(tmp_path, capsys, command, episodes):
     assert rc == 2
     assert "error: --episodes" in capsys.readouterr().err
     assert not out.exists()
+
+
+# a spawn that cannot be placed, rewards that overflow, a spawn seed that would
+# be overwritten
+BAD_CONFIGS = {"unplaceable-spawn": {"spawn": {"robot_min_dist": 9.0}},
+               "overflowing-reward": {"reward_weights": {"w4": 1e308,
+                                                         "success_bonus": 1e308}},
+               "spawn-rng-seed": {"spawn": {"rng_seed": 5}}}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
+@pytest.mark.parametrize("command", sorted(_POLICY_ARGS))
+def test_bad_config_exits_2_and_writes_no_non_finite(tmp_path, capsys, command, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_CONFIGS[bad]))
+    policies = {**_POLICY_ARGS, "simulate": ["--policy", "sffm"]}[command]
+    rc = main([command, *policies, "--episodes", "2",
+               "--config", str(cfg), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    for text in [captured.out] + [p.read_text() for p in tmp_path.rglob("*")
+                                  if p.is_file()]:
+        assert "NaN" not in text and "Infinity" not in text
+
+
+def test_train_with_overflowing_reward_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BAD_CONFIGS["overflowing-reward"],
+                               "episode": {"max_steps": 60},
+                               "train": {"hidden_sizes": [8], "population": 4,
+                                         "eval_episodes": 2}}))
+    rc = main(["train", "--algo", "cem", "--iters", "1", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: cannot write" in capsys.readouterr().err
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 def test_checkpoint_not_an_object_exits_2(tmp_path, capsys):
