@@ -2,7 +2,8 @@
 
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
-(an unplaceable spawn or a NaN or infinity bound for an output included).
+(an unplaceable spawn, a run driven to a non-finite state and a NaN or
+infinity bound for an output included).
 Every command steps all its episodes of one policy as one batch in this
 process.
 """
@@ -20,6 +21,7 @@ import numpy as np
 from . import spatial_features
 from .config import (ConfigError, FullConfig, config_hash, default_config,
                      dump_json, load_config)
+from .geometry import SimulationFault
 from .groups import SpawnError
 from .metrics import aggregate_stats, live_stats, run_compare
 from .policies import make_policy, save_checkpoint
@@ -223,7 +225,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpawnError, OSError, json.JSONDecodeError) as e:
+    except (ConfigError, SpawnError, SimulationFault, OSError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,7 +15,7 @@ a tick costs only the episodes still running."""
 
 from __future__ import annotations
 
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -102,15 +102,14 @@ class ApproachEnv:
 
     def reset(self, seeds) -> np.ndarray:
         """Spawn one episode per entry of `seeds` (each an int or a sequence
-        of ints); returns their observations (B, L)."""
+        of ints, collapsed by `derive_episode_seed`) straight into the lane
+        arrays, every agent at rest; returns their observations (B, L)."""
         self.seeds = list(seeds)
-        spawned = [spawn_episode(replace(self.episode.spawn,
-                                         rng_seed=derive_episode_seed(s)),
-                                 self.world)
-                   for s in self.seeds]
-        self.pos = np.array([[a.position for a in ags] for ags in spawned])
-        self.vel = np.array([[a.velocity for a in ags] for ags in spawned])
-        self.heading = np.array([[a.heading for a in ags] for ags in spawned])
+        pos, heading = zip(*(spawn_episode(self.episode.spawn, self.world,
+                                           derive_episode_seed(s))
+                             for s in self.seeds))
+        self.pos, self.heading = np.stack(pos), np.stack(heading)
+        self.vel = np.zeros_like(self.pos)
         self.center, self.radius = ospace_of(self.pos[:, 1:], self.prox.s_min)
         b = len(self.seeds)
         self.t = np.zeros(b, dtype=np.int64)
@@ -166,16 +165,11 @@ class ApproachEnv:
         # agent's step against the pre-tick agents and o-space, for the work
         # along the robot's step (r1) and along each SHA's (r5), and at the
         # new positions against the new agents, the field the next tick reads
-        both = []
-
-        def pre_tick_field(mid):
-            both.append(field_at(np.stack([mid, new_pos]),
-                                 neighbours_of(np.stack([pos, new_pos])), self.prox,
-                                 np.stack([self.center, center]),
-                                 np.stack([self.radius, radius])))
-            return both[0].combined[0]
-
-        work = group_forming_increment(pre_tick_field, pos, new_pos)
+        both = field_at(np.stack([(pos + new_pos) * 0.5, new_pos]),
+                        neighbours_of(np.stack([pos, new_pos])), self.prox,
+                        np.stack([self.center, center]),
+                        np.stack([self.radius, radius]))
+        work = group_forming_increment(lambda mid: both.combined[0], pos, new_pos)
         r1 = weights.sign_r1 * work[:, 0]
         r2 = non_increasing_increment(r1 / dt, dt)
         r3 = np.full(len(r1), time_penalty_increment(dt))
@@ -184,7 +178,7 @@ class ApproachEnv:
         # (5) success and termination
         self.pos, self.vel, self.heading = new_pos, new_vel, new_heading
         self.center, self.radius = center, radius
-        self.field = _take(both[0], 1)
+        self.field = _take(both, 1)
         self.t = self.t + 1
         on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], center,
                                   radius, self.episode.success_band,

@@ -2,8 +2,9 @@
 physics integrator.
 
 All quantities are SI: meters, seconds, radians. Headings live in (-pi, pi].
-`Vec2` and `AgentState` describe single agents at the edges (spawning,
-trajectory headers, metrics); the integrator works on arrays of agents.
+The simulator holds agents as arrays from spawn on, and the integrator works
+on them. `Vec2`, `AgentState` and `Role` describe a single agent for the
+one-point views `forces.combined_force` and `forces.estimate_ospace`.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Simulated human agents: the force-driven controller that holds the group
-formation, and episode spawning."""
+formation, and episode spawning into position and heading arrays."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (EPS_DIR, AgentState, ProxemicsConfig, Role, Vec2,
-                       WorldConfig, wrap_angle)
+from .geometry import EPS_DIR, ProxemicsConfig, WorldConfig, wrap_angle
 
 
 class SpawnError(RuntimeError):
@@ -34,6 +33,8 @@ class GroupSpawnSpec:
                 f"robot_min_dist ({self.robot_min_dist}) must exceed "
                 f"d_social ({prox.d_social})"
             )
+        if math.copysign(1.0, self.center_region) < 0.0:  # -0.0 included
+            raise ValueError(f"center_region must be >= 0, got {self.center_region}")
         if self.rng_seed != 0:
             raise ValueError(
                 f"spawn.rng_seed must be 0, got {self.rng_seed}: episodes are "
@@ -95,71 +96,61 @@ def sha_commands(force: np.ndarray, d_e: np.ndarray, d_c: np.ndarray,
     return accel, field_turn(d_e, d_c, heading, gains, world.omega_max)
 
 
-def _ray_to_wall(origin: Vec2, angle: float, side: float) -> float:
-    """Distance from origin to the floor boundary along the given direction."""
+def _ray_to_wall(x: float, y: float, angle: float, side: float) -> float:
+    """Distance from (x, y) to the floor boundary along the given direction."""
     c, s = math.cos(angle), math.sin(angle)
     best = math.hypot(side, side)  # diagonal bound
     if c > EPS_DIR:
-        best = min(best, (side - origin.x) / c)
+        best = min(best, (side - x) / c)
     elif c < -EPS_DIR:
-        best = min(best, -origin.x / c)
+        best = min(best, -x / c)
     if s > EPS_DIR:
-        best = min(best, (side - origin.y) / s)
+        best = min(best, (side - y) / s)
     elif s < -EPS_DIR:
-        best = min(best, -origin.y / s)
+        best = min(best, -y / s)
     return best
 
 
 MAX_SPAWN_TRIES = 1000
 
 
-def spawn_episode(spec: GroupSpawnSpec, world: WorldConfig) -> list[AgentState]:
-    """Spawn the group and the robot for one episode.
+def spawn_episode(spec: GroupSpawnSpec, world: WorldConfig,
+                  seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Spawn the group and the robot for one episode from `seed`.
 
     SHAs stand on a circle of diameter `separation` around a group center
     drawn uniformly from the center-region box, all facing the centroid.
     The robot is placed at a uniform distance in [robot_min_dist, wall bound]
-    from the centroid with a uniform heading. Returns [robot, sha_1, ...]
-    with the robot as agent 0.
+    from the centroid with a uniform heading. Returns positions (N, 2) and
+    headings (N,), the robot as agent 0; every agent starts at rest.
     """
-    rng = np.random.default_rng(spec.rng_seed)
+    rng = np.random.default_rng(seed)
     side = world.floor_side
     half = side / 2.0
+    pos, heading = np.empty((spec.n_shas + 1, 2)), np.empty(spec.n_shas + 1)
 
-    center = Vec2(
-        half + rng.uniform(-spec.center_region, spec.center_region),
-        half + rng.uniform(-spec.center_region, spec.center_region),
-    )
+    cx = half + rng.uniform(-spec.center_region, spec.center_region)
+    cy = half + rng.uniform(-spec.center_region, spec.center_region)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     radius = spec.separation / 2.0
-
-    agents: list[AgentState] = []
     for k in range(spec.n_shas):
         ang = phase + 2.0 * math.pi * k / spec.n_shas
-        pos = Vec2(center.x + radius * math.cos(ang),
-                   center.y + radius * math.sin(ang))
-        if not (0.0 <= pos.x <= side and 0.0 <= pos.y <= side):
+        x, y = cx + radius * math.cos(ang), cy + radius * math.sin(ang)
+        if not (0.0 <= x <= side and 0.0 <= y <= side):
             raise SpawnError("group circle does not fit inside the floor")
-        heading = wrap_angle((center - pos).heading())
-        agents.append(AgentState(id=k + 1, role=Role.SHA, position=pos,
-                                 velocity=Vec2(0.0, 0.0), heading=heading))
+        pos[k + 1] = x, y
+        heading[k + 1] = wrap_angle(math.atan2(cy - y, cx - x))
 
-    robot = None
     for _ in range(MAX_SPAWN_TRIES):
         ang = rng.uniform(0.0, 2.0 * math.pi)
-        reach = _ray_to_wall(center, ang, side)
+        reach = _ray_to_wall(cx, cy, ang, side)
         if reach <= spec.robot_min_dist:
             continue
         dist = rng.uniform(spec.robot_min_dist, reach)
-        pos = Vec2(center.x + dist * math.cos(ang),
-                   center.y + dist * math.sin(ang))
-        heading = wrap_angle(rng.uniform(-math.pi, math.pi))
-        robot = AgentState(id=0, role=Role.ROBOT, position=pos,
-                           velocity=Vec2(0.0, 0.0), heading=heading)
-        break
-    if robot is None:
-        raise SpawnError(
-            f"could not place robot at distance >= {spec.robot_min_dist} "
-            f"within {MAX_SPAWN_TRIES} tries"
-        )
-    return [robot] + agents
+        pos[0] = cx + dist * math.cos(ang), cy + dist * math.sin(ang)
+        heading[0] = wrap_angle(rng.uniform(-math.pi, math.pi))
+        return pos, heading
+    raise SpawnError(
+        f"could not place robot at distance >= {spec.robot_min_dist} "
+        f"within {MAX_SPAWN_TRIES} tries"
+    )

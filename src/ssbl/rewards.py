@@ -22,6 +22,10 @@ from typing import Callable
 
 import numpy as np
 
+# Largest accepted weight and |success_bonus| (the defaults are at most 10): the
+# largest product, w_e * w4 * success_bonus, is then at most 1e18, far from overflow.
+MAX_WEIGHT = 1e6
+
 
 @dataclass(slots=True)
 class RewardWeights:
@@ -42,10 +46,12 @@ class RewardWeights:
     sign_r1: float = 1.0
 
     def validate(self) -> None:
-        for name in ("w_e", "w_a", "w1", "w2", "w3", "w4", "w5"):
+        for name in ("w_e", "w_a", "w1", "w2", "w3", "w4", "w5", "success_bonus"):
             v = getattr(self, name)
-            if v < 0.0:
-                raise ValueError(f"reward weight {name} must be >= 0, got {v}")
+            low = -MAX_WEIGHT if name == "success_bonus" else 0.0
+            if not low <= v <= MAX_WEIGHT:
+                raise ValueError(f"reward weight {name} must lie in "
+                                 f"[{low:g}, {MAX_WEIGHT:g}], got {v}")
         if self.sign_r1 not in (1.0, -1.0):
             raise ValueError(f"sign_r1 must be +1 or -1, got {self.sign_r1}")
 

@@ -21,14 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError
-from .geometry import Role
 
 
 class TrajectoryFormatError(ValueError):
     """Malformed trajectory file; the message carries the line number."""
 
 
-_ROBOT, _SHA = Role.ROBOT.value, Role.SHA.value
+_ROBOT, _SHA = "robot", "sha"  # the "role" of agent 0 and of the others
 
 
 def _agents(pos: list, vel: list, heading: list) -> list[dict]:
@@ -80,14 +79,12 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 def write_trajectory(path: str | Path, header: dict,
                      records: list[dict]) -> None:
     """Write the header and step records, one JSON object a line. A NaN or
-    an infinity is a ConfigError naming the file."""
-    encode = _ENCODER.encode
-    with open(path, "w", encoding="utf-8") as fh:
-        try:
-            fh.write(encode(header) + "\n")
-            fh.writelines(encode(rec) + "\n" for rec in records)
-        except ValueError as e:
-            raise ConfigError(f"cannot write {path}: {e}") from e
+    an infinity is a ConfigError naming the file, and nothing is written."""
+    try:
+        text = "".join(_ENCODER.encode(doc) + "\n" for doc in [header, *records])
+    except ValueError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:

@@ -21,13 +21,19 @@ def as_arrays(agents):
             np.array([[a.heading for a in agents]]))
 
 
-def lane_agents(env, lane):
-    """The agents of one lane of an ApproachEnv's current state."""
+def agents_of(pos, heading, vel=None):
+    """The agents of one state: positions (N, 2), headings (N,) and
+    velocities (N, 2), at rest when omitted; the robot is agent 0."""
+    vel = np.zeros_like(pos) if vel is None else vel
     return [AgentState(id=i, role=Role.ROBOT if i == 0 else Role.SHA,
                        position=Vec2(*p), velocity=Vec2(*v), heading=h)
-            for i, (p, v, h) in enumerate(zip(env.pos[lane].tolist(),
-                                              env.vel[lane].tolist(),
-                                              env.heading[lane].tolist()))]
+            for i, (p, v, h) in enumerate(zip(pos.tolist(), vel.tolist(),
+                                              heading.tolist()))]
+
+
+def lane_agents(env, lane):
+    """The agents of one lane of an ApproachEnv's current state."""
+    return agents_of(env.pos[lane], env.heading[lane], env.vel[lane])
 
 
 def point_field(p, others, prox, ospace):

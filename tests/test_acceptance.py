@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import run_group
+from conftest import agents_of, run_group
 from ssbl.cli import main
 from ssbl.config import default_config
 from ssbl.forces import OSpace, combined_force
@@ -182,7 +182,7 @@ def test_c06_dyad_stability_100_seeds():
     cfg = default_config().validate()
     world, prox = cfg.world, cfg.proxemics
     for seed in range(100):
-        agents = spawn_episode(GroupSpawnSpec(rng_seed=seed), world)[1:]
+        agents = agents_of(*spawn_episode(GroupSpawnSpec(), world, seed))[1:]
         traj = run_group(agents, prox, world, 200, cfg.sha_gains)
         settled = False
         for i in range(len(traj) - 1):

@@ -1,5 +1,7 @@
 import base64
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -21,7 +23,8 @@ from ssbl.metrics import (aggregate_stats, compute_metrics, episode_stats,
                           run_compare)
 from ssbl.policies import (load_checkpoint, param_count, save_checkpoint,
                            zero_params)
-from ssbl.trajlog import TrajectoryFormatError, read_trajectory
+from ssbl.trajlog import (TrajectoryFormatError, read_trajectory,
+                          write_trajectory)
 
 
 def write_tiny_train_config(path: Path) -> Path:
@@ -238,12 +241,15 @@ def test_nonpositive_episodes_exit_2(tmp_path, capsys, command, episodes):
     assert not out.exists()
 
 
-# a spawn that cannot be placed, rewards that overflow, a spawn seed that would
-# be overwritten
+# a spawn that cannot be placed, rewards that would overflow, a spawn seed that
+# would be overwritten, an o-space floor that drives the field non-finite, a
+# negative spawn box (found by test_any_config_runs_or_exits_2; -0.0 too)
 BAD_CONFIGS = {"unplaceable-spawn": {"spawn": {"robot_min_dist": 9.0}},
                "overflowing-reward": {"reward_weights": {"w4": 1e308,
                                                          "success_bonus": 1e308}},
-               "spawn-rng-seed": {"spawn": {"rng_seed": 5}}}
+               "spawn-rng-seed": {"spawn": {"rng_seed": 5}},
+               "runaway-s-min": {"proxemics": {"s_min": 1e308}},
+               "negative-center-region": {"spawn": {"center_region": -0.0}}}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
@@ -262,6 +268,63 @@ def test_bad_config_exits_2_and_writes_no_non_finite(tmp_path, capsys, command, 
         assert "NaN" not in text and "Infinity" not in text
 
 
+# the integers that size an episode, from ranges that keep each example quick
+_SIZE_KEYS = {"n_shas": st.integers(0, 4), "max_steps": st.integers(0, 30),
+              "success_hold": st.integers(0, 12)}
+_WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                         st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(),
+                                         max_size=1))
+
+
+def _values_like(key, default):
+    """Values of the JSON type of a config key's default."""
+    if key in _SIZE_KEYS:
+        return _SIZE_KEYS[key]
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers()
+    if isinstance(default, float):
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if isinstance(default, str):
+        return st.sampled_from(["cem", "ppo", ""])
+    return st.lists(st.integers(-2, 1 << 62), max_size=3)
+
+
+_CONFIG_KEYS = [(name, key, default)
+                for name, section in config_to_dict(default_config()).items()
+                for key, default in section.items()]
+
+
+@st.composite
+def config_docs(draw):
+    """One or two config keys, each set to a value of its type or, now and
+    then, of a wrong JSON type."""
+    doc = {}
+    for name, key, default in draw(st.lists(st.sampled_from(_CONFIG_KEYS),
+                                            min_size=1, max_size=2,
+                                            unique_by=lambda k: k[:2])):
+        wrong = draw(st.integers(0, 7)) == 7
+        doc.setdefault(name, {})[key] = draw(
+            _WRONG_TYPES if wrong else _values_like(key, default))
+    return doc
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(doc=config_docs())
+def test_any_config_runs_or_exits_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        rc = main(["eval", "--policy", "sffm", "--episodes", "1",
+                   "--config", str(path)])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+
+
 def test_train_with_overflowing_reward_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**BAD_CONFIGS["overflowing-reward"],
@@ -271,8 +334,8 @@ def test_train_with_overflowing_reward_exits_2_and_writes_nothing(tmp_path, caps
     rc = main(["train", "--algo", "cem", "--iters", "1", "--config", str(cfg),
                "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "error: cannot write" in capsys.readouterr().err
-    assert list((tmp_path / "run").iterdir()) == []
+    assert "error: reward weight w4 must lie in" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_checkpoint_not_an_object_exits_2(tmp_path, capsys):
@@ -394,6 +457,15 @@ def test_trajectory_missing_field_detected(tmp_path):
                     '{"t": 1, "agents": []}\n')
     with pytest.raises(TrajectoryFormatError, match=":2:"):
         read_trajectory(path)
+
+
+def test_refused_trajectory_leaves_no_file(tmp_path):
+    path = tmp_path / "episode_000.jsonl"
+    records = [{"t": 1, "reward": {"r1": 0.5}}, {"t": 2, "reward": {"r1": math.nan}}]
+    with pytest.raises(ConfigError, match="cannot write"):
+        write_trajectory(path, {"config_hash": "x", "seed": 0, "agents": []},
+                         records)
+    assert not path.exists()
 
 
 def test_non_object_lines_are_format_errors(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssbl.geometry import Vec2
-from ssbl.rewards import (RewardBreakdown, RewardWeights,
+from ssbl.rewards import (MAX_WEIGHT, RewardBreakdown, RewardWeights,
                           group_forming_increment, non_increasing_increment,
                           sha_disturbance_increment, success_bonus,
                           time_penalty_increment, total_reward)
@@ -151,3 +151,15 @@ def test_weight_validation():
         RewardWeights(sign_r1=0.5).validate()
     RewardWeights().validate()
     RewardWeights(sign_r1=-1.0).validate()
+
+
+@pytest.mark.parametrize("name", ["w_e", "w_a", "w1", "w2", "w3", "w4", "w5",
+                                  "success_bonus"])
+def test_weights_above_the_bound_are_refused(name):
+    RewardWeights(**{name: MAX_WEIGHT}).validate()
+    with pytest.raises(ValueError, match=name):
+        RewardWeights(**{name: 2.0 * MAX_WEIGHT}).validate()
+    if name == "success_bonus":
+        RewardWeights(success_bonus=-MAX_WEIGHT).validate()
+        with pytest.raises(ValueError, match=name):
+            RewardWeights(success_bonus=-2.0 * MAX_WEIGHT).validate()
