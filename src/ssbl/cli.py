@@ -25,7 +25,7 @@ from .geometry import SimulationFault
 from .groups import SpawnError
 from .metrics import aggregate_stats, live_stats, run_compare
 from .policies import make_policy, save_checkpoint
-from .trajlog import make_header, write_trajectory
+from .trajlog import make_header, step_table, write_trajectory
 from .training import make_env, rollout, train
 
 log = logging.getLogger("ssbl")
@@ -59,7 +59,7 @@ def cmd_simulate(args) -> int:
     for i, res in enumerate(results):
         name = f"episode_{i:03d}.jsonl"
         write_trajectory(out_dir / name, make_header(cfg_hash, res.seed, res.track),
-                         res.records)
+                         step_table(res.track), res.success)
         entries.append({"file": name, "episode": i, "return": res.ret,
                         "steps": res.steps, "success": res.success})
 

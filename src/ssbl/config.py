@@ -110,6 +110,7 @@ class FullConfig:
             self.proxemics.validate()
             self.episode.validate()
             self.train.validate()
+            self.sha_gains.validate()
             self.episode.spawn.validate(self.world, self.proxemics)
         except ValueError as e:
             raise ConfigError(str(e)) from e

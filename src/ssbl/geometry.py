@@ -113,8 +113,9 @@ class ProxemicsConfig:
                 f"proxemics radii must satisfy 0 < personal < social < public, "
                 f"got ({self.d_personal}, {self.d_social}, {self.d_public})"
             )
-        if self.s_min <= 0.0:
-            raise ValueError(f"s_min must be positive, got {self.s_min}")
+        if not 0.0 < self.s_min < self.d_public:
+            raise ValueError(f"s_min must lie in (0, d_public = {self.d_public}), "
+                             f"got {self.s_min}")
 
 
 @dataclass(slots=True)

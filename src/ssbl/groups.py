@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import EPS_DIR, ProxemicsConfig, WorldConfig, wrap_angle
+from .rewards import MAX_WEIGHT
 
 
 class SpawnError(RuntimeError):
@@ -33,8 +34,9 @@ class GroupSpawnSpec:
                 f"robot_min_dist ({self.robot_min_dist}) must exceed "
                 f"d_social ({prox.d_social})"
             )
-        if math.copysign(1.0, self.center_region) < 0.0:  # -0.0 included
-            raise ValueError(f"center_region must be >= 0, got {self.center_region}")
+        for name in ("separation", "center_region"):
+            if math.copysign(1.0, getattr(self, name)) < 0.0:  # -0.0 included
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.rng_seed != 0:
             raise ValueError(
                 f"spawn.rng_seed must be 0, got {self.rng_seed}: episodes are "
@@ -53,6 +55,15 @@ class ShaGains:
     f_dead: float = 0.05   # force deadband; below it the agent holds position
     w_de: float = 0.5      # orientation blend weight for the social direction
     w_dc: float = 0.5      # orientation blend weight for the public direction
+
+    def validate(self) -> None:
+        """Refuse a negative gain or weight, which steers SHAs away from the
+        field, and any above MAX_WEIGHT."""
+        for name in ("gain_f", "k_turn", "f_dead", "w_de", "w_dc"):
+            v = getattr(self, name)
+            if not 0.0 <= v <= MAX_WEIGHT:
+                raise ValueError(f"sha_controller {name} must lie in "
+                                 f"[0, {MAX_WEIGHT:g}], got {v}")
 
 
 DEFAULT_GAINS = ShaGains()

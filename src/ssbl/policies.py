@@ -233,6 +233,38 @@ class SffmPolicy:
                                     f.d_e[:, 0], f.d_c[:, 0])
 
 
+NOISE_BLOCK = 512   # ticks of noise a lane draws at once: bounded at any horizon
+
+
+class LaneNoise:
+    """Noise (B, 2) per tick from one generator per episode. Each generator
+    draws its lane's next NOISE_BLOCK ticks in one call, `draw(rng, (k, 2))`;
+    numpy's generators give one (k, 2) draw the bytes of k draws of 2, so a
+    lane's noise is its per-tick draws at any batch size. It counts its own
+    ticks from `begin_episode`, which in a rollout is `env.t`."""
+
+    def __init__(self, draw):
+        self._draw = draw
+        self.begin_episode(())
+
+    def begin_episode(self, seeds) -> None:
+        self._rngs = [np.random.default_rng(s) for s in seeds]
+        self._block = np.empty((len(self._rngs), 0, 2))
+        self._tick = 0      # the block column of the next tick
+
+    def keep(self, mask: np.ndarray) -> None:
+        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
+        self._block = self._block[mask]
+
+    def next(self) -> np.ndarray:
+        if self._tick == self._block.shape[1]:
+            self._block = np.stack([self._draw(rng, (NOISE_BLOCK, 2))
+                                    for rng in self._rngs])
+            self._tick = 0
+        self._tick += 1
+        return self._block[:, self._tick - 1].copy()
+
+
 RANDOM_POLICY_STREAM = 0x5EED
 
 
@@ -241,20 +273,18 @@ class RandomPolicy:
     by the episode's seed."""
 
     def __init__(self):
-        self._rngs = []
+        self._noise = LaneNoise(lambda rng, shape: rng.uniform(-1.0, 1.0, shape))
 
     def begin_episode(self, seeds) -> None:
-        self._rngs = []
-        for seed in seeds:
-            material = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-            self._rngs.append(np.random.default_rng(
-                [RANDOM_POLICY_STREAM] + [int(s) for s in material]))
+        material = [s if isinstance(s, (list, tuple)) else [s] for s in seeds]
+        self._noise.begin_episode([[RANDOM_POLICY_STREAM] + [int(v) for v in m]
+                                   for m in material])
 
     def keep(self, mask: np.ndarray) -> None:
-        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
+        self._noise.keep(mask)
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
-        return np.array([rng.uniform(-1.0, 1.0, 2) for rng in self._rngs])
+        return self._noise.next()
 
 
 def make_policy(spec: str, cfg: FullConfig | None = None):

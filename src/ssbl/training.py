@@ -28,10 +28,10 @@ import numpy as np
 from .config import FullConfig, TrainConfig
 from .env import ApproachEnv, encode_observation, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
-from .policies import (OBS_SCALE, NetworkPolicy, PolicyParams, RandomPolicy,
-                       SffmPolicy, mlp_forward, param_count, population_layers,
-                       run_layers, unpack_layers)
-from .trajlog import REWARD_KEYS, episode_records
+from .policies import (OBS_SCALE, LaneNoise, NetworkPolicy, PolicyParams,
+                       RandomPolicy, SffmPolicy, mlp_forward, param_count,
+                       population_layers, run_layers, unpack_layers)
+from .trajlog import REWARD_KEYS
 
 log = logging.getLogger(__name__)
 
@@ -57,18 +57,14 @@ STEPS = ("action", *REWARD_KEYS)
 @dataclass(slots=True)
 class RolloutResult:
     """One episode of a rollout. A recorded one also keeps its `track`, one
-    array per STATES and STEPS name, from which its step records and
-    observations are cut when read."""
+    array per STATES and STEPS name, from which its step table
+    (`trajlog.step_table`) and observations are cut when read."""
 
     seed: object
     ret: float
     steps: int
     success: bool
     track: dict | None = None
-
-    @property
-    def records(self) -> list[dict]:
-        return episode_records(self.track, self.success)
 
     def observations(self, world) -> np.ndarray:
         """The observations (steps, L) the policy acted on."""
@@ -557,18 +553,18 @@ class _GaussianPolicy(NetworkPolicy):
         self._population = population_layers(flat[None].copy(), layer_sizes)
         self._std = np.exp(log_std)
         self._noise_seeds = noise_seeds
+        self._noise = LaneNoise(lambda rng, shape: rng.standard_normal(shape))
 
     def begin_episode(self, seeds) -> None:
         super().begin_episode(seeds)
-        self._rngs = [np.random.default_rng(s) for s in self._noise_seeds]
+        self._noise.begin_episode(self._noise_seeds)
 
     def keep(self, mask: np.ndarray) -> None:
         super().keep(mask)
-        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
+        self._noise.keep(mask)
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
-        noise = np.array([rng.standard_normal(2) for rng in self._rngs])
-        return super().act(obs, env) + self._std * noise
+        return super().act(obs, env) + self._std * self._noise.next()
 
 
 def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, TrainReport]:

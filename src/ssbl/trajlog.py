@@ -7,10 +7,14 @@ initial agent states; every following line is one step record:
    "action": [a_fwd, a_turn], "reward": {"r1".."r5", "total"},
    "done": bool, "success": bool}
 
-`training.rollout(..., record=True)` keeps the per-tick state arrays and
-`episode_records` cuts one episode's step records from them. Floats
-round-trip exactly through JSON, so anything recomputed from a parsed file
-matches the in-memory run bit for bit.
+`training.rollout(..., record=True)` keeps each episode's per-tick state
+arrays, its track. `step_table` cuts the step records from it as one float
+table in file order, and `write_trajectory` fills one `%`-format template
+per row with the `tolist()` values: the keys stand in the template in record
+order and every float is written by `%r`, which is `float.__repr__`, the
+text `json` writes for it. So no dict is built per step, and `json` encodes
+only the header. Floats round-trip exactly through JSON, so anything
+recomputed from a parsed file matches the in-memory run bit for bit.
 """
 
 from __future__ import annotations
@@ -41,27 +45,6 @@ def _agents(pos: list, vel: list, heading: list) -> list[dict]:
 REWARD_KEYS = ("r1", "r2", "r3", "r4", "r5", "total")
 
 
-def episode_records(track: dict[str, np.ndarray], success: bool) -> list[dict]:
-    """The step records of one episode from its track (`training.rollout`):
-    each tick's post-step agents, from the states after the initial one
-    (positions and velocities (T + 1, N, 2), headings (T + 1, N)), its
-    action (T, 2), clamped as the env applied it, and its reward components
-    (T,). The episode is done on its last tick, and successful there if
-    `success`."""
-    success = bool(success)
-    n_steps = len(track["action"])
-    states = zip(*(track[k][1:].tolist() for k in ("pos", "vel", "heading")))
-    actions = np.clip(track["action"], -1.0, 1.0).tolist()
-    rewards = zip(*(track[k].tolist() for k in REWARD_KEYS))
-    return [{"t": t + 1,
-             "agents": _agents(*state),
-             "action": action,
-             "reward": dict(zip(REWARD_KEYS, reward)),
-             "done": t == n_steps - 1,
-             "success": success and t == n_steps - 1}
-            for t, (state, action, reward) in enumerate(zip(states, actions, rewards))]
-
-
 def make_header(config_hash: str, seed, track: dict[str, np.ndarray]) -> dict:
     """The header of an episode, with the initial agents of its track."""
     if isinstance(seed, (list, tuple)):
@@ -73,18 +56,54 @@ def make_header(config_hash: str, seed, track: dict[str, np.ndarray]) -> dict:
     }
 
 
+def step_table(track: dict[str, np.ndarray]) -> np.ndarray:
+    """An episode's step records as a (T, 5N + 8) table in file order: per
+    tick, the post-step x, y, vx, vy and theta of every agent (from the
+    states after the initial one of the track's positions and velocities
+    (T + 1, N, 2) and headings (T + 1, N)), the action (T, 2), clamped as
+    the env applied it, and the reward components (T,)."""
+    agents = np.concatenate([track["pos"][1:], track["vel"][1:],
+                             track["heading"][1:, :, None]], axis=2)
+    return np.column_stack([agents.reshape(len(agents), -1),
+                            np.clip(track["action"], -1.0, 1.0),
+                            *(track[k] for k in REWARD_KEYS)])
+
+
+def _step_template(n_agents: int, done: bool, success: bool) -> str:
+    """The %-format of one step record: `t` then the 5N + 8 floats of a
+    step-table row. `%r` is `float.__repr__`, the text `json` writes for a
+    finite float, so a filled template is the encoder's line byte for byte."""
+    agents = ",".join(f'{{"id":{i},"role":"{_SHA if i else _ROBOT}",'
+                      '"x":%r,"y":%r,"vx":%r,"vy":%r,"theta":%r}'
+                      for i in range(n_agents))
+    reward = ",".join(f'"{k}":%r' for k in REWARD_KEYS)
+    return (f'{{"t":%d,"agents":[{agents}],"action":[%r,%r],"reward":{{{reward}}},'
+            f'"done":{json.dumps(done)},"success":{json.dumps(success)}}}\n')
+
+
 _ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
 
-def write_trajectory(path: str | Path, header: dict,
-                     records: list[dict]) -> None:
-    """Write the header and step records, one JSON object a line. A NaN or
-    an infinity is a ConfigError naming the file, and nothing is written."""
+def write_trajectory(path: str | Path, header: dict, steps: np.ndarray,
+                     success: bool) -> None:
+    """Write the header and one step record per row of the step table
+    `steps` (`step_table`), one JSON object a line. The episode is done on
+    its last step, and successful there if `success`. A NaN or an infinity
+    is a ConfigError naming the file, and nothing is written."""
+    if not np.isfinite(steps).all():
+        raise ConfigError(f"cannot write {path}: Out of range float values "
+                          "are not JSON compliant")
     try:
-        text = "".join(_ENCODER.encode(doc) + "\n" for doc in [header, *records])
+        lines = [_ENCODER.encode(header) + "\n"]
     except ValueError as e:
         raise ConfigError(f"cannot write {path}: {e}") from e
-    Path(path).write_text(text, encoding="utf-8")
+    n_agents = (steps.shape[1] - 2 - len(REWARD_KEYS)) // 5
+    step = _step_template(n_agents, False, False)
+    rows = steps.tolist()
+    lines += [step % (t, *row) for t, row in enumerate(rows[:-1], start=1)]
+    last = _step_template(n_agents, True, bool(success))
+    lines.append(last % (len(rows), *rows[-1]))
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:

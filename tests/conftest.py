@@ -1,5 +1,6 @@
 """Shared helpers for stepping SHA-only groups outside the full environment,
-through the same array code the environment steps with."""
+through the same array code the environment steps with, and the step-record
+oracle that trajectory files are checked against."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from ssbl.forces import field_at, neighbours_of, ospace_of
 from ssbl.geometry import (AgentState, ProxemicsConfig, Role, Vec2,
                            WorldConfig, advance)
 from ssbl.groups import DEFAULT_GAINS, sha_commands
+from ssbl.trajlog import REWARD_KEYS
 
 
 def as_arrays(agents):
@@ -66,6 +68,29 @@ def run_group(agents, prox, world, steps, gains=DEFAULT_GAINS):
         agents = step_group_once(agents, prox, world, gains)
         traj.append(agents)
     return traj
+
+
+def episode_records(track, success):
+    """The step records of one episode from its track (`training.rollout`),
+    as dicts: each tick's post-step agents, from the states after the
+    initial one, its action, clamped as the env applied it, and its reward
+    components. The episode is done on its last tick, and successful there
+    if `success`. `json.dumps` of a record with compact separators is the
+    line `trajlog.write_trajectory` writes for it."""
+    success = bool(success)
+    n_steps = len(track["action"])
+    states = zip(*(track[k][1:].tolist() for k in ("pos", "vel", "heading")))
+    actions = np.clip(track["action"], -1.0, 1.0).tolist()
+    rewards = zip(*(track[k].tolist() for k in REWARD_KEYS))
+    return [{"t": t + 1,
+             "agents": [{"id": i, "role": "sha" if i else "robot",
+                         "x": p[0], "y": p[1], "vx": v[0], "vy": v[1], "theta": h}
+                        for i, (p, v, h) in enumerate(zip(*state))],
+             "action": action,
+             "reward": dict(zip(REWARD_KEYS, reward)),
+             "done": t == n_steps - 1,
+             "success": success and t == n_steps - 1}
+            for t, (state, action, reward) in enumerate(zip(states, actions, rewards))]
 
 
 @pytest.fixture

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import episode_records
 from ssbl.config import default_config
-from ssbl.policies import (NetworkPolicy, PolicyParams, RandomPolicy,
-                           SffmPolicy, load_checkpoint)
+from ssbl.policies import (NOISE_BLOCK, LaneNoise, NetworkPolicy, PolicyParams,
+                           RandomPolicy, SffmPolicy, load_checkpoint)
 from ssbl.training import _GaussianPolicy, make_env, rollout
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "checkpoint.json"
@@ -24,7 +25,7 @@ def policies():
 
 
 def lines(res):
-    return [json.dumps(rec) for rec in res.records]
+    return [json.dumps(rec) for rec in episode_records(res.track, res.success)]
 
 
 def alone(name, k):
@@ -79,14 +80,34 @@ def gaussian(lanes):
 @pytest.mark.parametrize("name", ["random", "gaussian"])
 def test_generators_stay_with_their_episodes(name):
     """Per-episode generators (random actions, PPO's exploration noise)
-    follow their lanes when the episodes of other lanes end and are dropped."""
+    follow their lanes when the episodes of other lanes end and are dropped:
+    an episode alone and inside a batch of 32 gives the same records."""
     cfg = easy_config() if name == "random" else default_config().validate()
     make = gaussian if name == "gaussian" else lambda lanes: RandomPolicy()
-    together = rollout(make_env(cfg), make(range(12)), SEEDS[:12], record=True)
+    together = rollout(make_env(cfg), make(range(32)), SEEDS[:32], record=True)
     assert len({r.steps for r in together}) > 2
-    for k in range(12):
+    for k in range(32):
         (single,) = rollout(make_env(cfg), make([k]), [SEEDS[k]], record=True)
         assert lines(together[k]) == lines(single), k
+
+
+@pytest.mark.parametrize("draw, args", [("uniform", (-1.0, 1.0)),
+                                        ("standard_normal", ())])
+def test_lane_noise_is_each_lanes_per_tick_draws(draw, args):
+    """LaneNoise draws a block of ticks per lane in one call; every lane
+    still gets what its generator gives drawn two values a tick, across
+    block ends and after other lanes are dropped mid-block."""
+    seeds = [[4, k] for k in range(5)]
+    noise = LaneNoise(lambda rng, shape: getattr(rng, draw)(*args, shape))
+    noise.begin_episode(seeds)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    for tick in range(2 * NOISE_BLOCK + 3):
+        if tick in (7, NOISE_BLOCK, NOISE_BLOCK + 1):
+            mask = np.arange(len(rngs)) != tick % len(rngs)
+            noise.keep(mask)
+            rngs = [rng for rng, k in zip(rngs, mask) if k]
+        want = np.array([getattr(rng, draw)(*args, 2) for rng in rngs])
+        assert noise.next().tobytes() == want.tobytes(), tick
 
 
 def random_population(size, seed=0):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_arrays, lane_agents
+from conftest import as_arrays, episode_records, lane_agents
 from ssbl.config import EpisodeConfig, default_config
 from ssbl.env import (ApproachEnv, EpisodeDoneError, encode_observation,
                       observation_length, success_instant)
@@ -283,11 +283,12 @@ def test_replay_reproduces_log_bit_exactly():
     actions = [[float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1))]
                for _ in range(default_config().episode.max_steps)]
     (res1,) = rollout(fresh_env(), ReplayPolicy(actions), [[7, 3]], record=True)
-    log1 = [json.dumps(rec) for rec in res1.records]
-    assert [rec["action"] for rec in res1.records] == actions[:res1.steps]
+    records = episode_records(res1.track, res1.success)
+    log1 = [json.dumps(rec) for rec in records]
+    assert [rec["action"] for rec in records] == actions[:res1.steps]
 
     (res2,) = rollout(fresh_env(), ReplayPolicy(actions), [[7, 3]], record=True)
-    log2 = [json.dumps(rec) for rec in res2.records]
+    log2 = [json.dumps(rec) for rec in episode_records(res2.track, res2.success)]
     assert log1 == log2
 
 

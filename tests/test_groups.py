@@ -174,6 +174,9 @@ def test_spawn_spec_validation(world, prox):
         GroupSpawnSpec(center_region=4.5).validate(world, prox)
     with pytest.raises(ValueError, match="center_region"):
         GroupSpawnSpec(center_region=-0.0).validate(world, prox)
+    for separation in (-2.0, -0.0):
+        with pytest.raises(ValueError, match="separation"):
+            GroupSpawnSpec(separation=separation).validate(world, prox)
     GroupSpawnSpec().validate(world, prox)
 
 

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ssbl
+from conftest import episode_records
 from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
                          load_config, save_config, config_hash, ConfigError)
@@ -23,8 +25,8 @@ from ssbl.metrics import (aggregate_stats, compute_metrics, episode_stats,
                           run_compare)
 from ssbl.policies import (load_checkpoint, param_count, save_checkpoint,
                            zero_params)
-from ssbl.trajlog import (TrajectoryFormatError, read_trajectory,
-                          write_trajectory)
+from ssbl.trajlog import (TrajectoryFormatError, make_header, read_trajectory,
+                          step_table, write_trajectory)
 
 
 def write_tiny_train_config(path: Path) -> Path:
@@ -249,7 +251,10 @@ BAD_CONFIGS = {"unplaceable-spawn": {"spawn": {"robot_min_dist": 9.0}},
                                                          "success_bonus": 1e308}},
                "spawn-rng-seed": {"spawn": {"rng_seed": 5}},
                "runaway-s-min": {"proxemics": {"s_min": 1e308}},
-               "negative-center-region": {"spawn": {"center_region": -0.0}}}
+               "negative-center-region": {"spawn": {"center_region": -0.0}},
+               "negative-sha-gain": {"sha_controller": {"k_turn": -2.0}},
+               "runaway-sha-gain": {"sha_controller": {"gain_f": -1.7e308}},
+               "oversized-sha-weight": {"sha_controller": {"w_dc": 1e7}}}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
@@ -461,11 +466,48 @@ def test_trajectory_missing_field_detected(tmp_path):
 
 def test_refused_trajectory_leaves_no_file(tmp_path):
     path = tmp_path / "episode_000.jsonl"
-    records = [{"t": 1, "reward": {"r1": 0.5}}, {"t": 2, "reward": {"r1": math.nan}}]
+    steps = np.full((2, 5 * 3 + 8), 0.5)
+    steps[1, -6] = math.nan       # r1 of the second record
     with pytest.raises(ConfigError, match="cannot write"):
         write_trajectory(path, {"config_hash": "x", "seed": 0, "agents": []},
-                         records)
+                         steps, False)
     assert not path.exists()
+
+
+# floats whose JSON text is easy to get wrong, and any other finite float
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+                     1e16, -1e16, 1e15, 2.0, -3.0, 1.0, 0.1, 1e-7]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def tracks(draw):
+    """A track of an episode (`training.rollout`) of 1-6 ticks and 2-4 SHAs,
+    every value drawn from _EDGE_FLOATS."""
+    n_steps, n_agents = draw(st.integers(1, 6)), 1 + draw(st.integers(2, 4))
+    values = lambda *shape: draw(arrays(np.float64, shape, elements=_EDGE_FLOATS))
+    track = {"pos": values(n_steps + 1, n_agents, 2),
+             "vel": values(n_steps + 1, n_agents, 2),
+             "heading": values(n_steps + 1, n_agents),
+             "action": values(n_steps, 2)}
+    track.update((k, values(n_steps)) for k in ("r1", "r2", "r3", "r4", "r5", "total"))
+    return track
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(track=tracks(), success=st.booleans(),
+       seed=st.one_of(st.integers(0, 2**64 - 1),
+                      st.lists(st.integers(0, 2**32), max_size=3)))
+def test_template_lines_equal_json_of_the_records(tmp_path_factory, track, success, seed):
+    """write_trajectory's template writes, for every step record, the line
+    `json` writes for the oracle's record dict."""
+    path = tmp_path_factory.mktemp("tpl") / "episode_000.jsonl"
+    header = make_header("0123456789abcdef", seed, track)
+    write_trajectory(path, header, step_table(track), success)
+    dump = lambda doc: json.dumps(doc, separators=(",", ":"))
+    want = [dump(header)] + [dump(rec) for rec in episode_records(track, success)]
+    assert path.read_text(encoding="utf-8").splitlines() == want
 
 
 def test_non_object_lines_are_format_errors(tmp_path):
