@@ -2,8 +2,8 @@
 
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
-(an unplaceable spawn, a run driven to a non-finite state and a NaN or
-infinity bound for an output included).
+(a negative --seed, an unplaceable spawn, a run driven to a non-finite
+state and a NaN or infinity bound for an output included).
 Every command steps all its episodes of one policy as one batch in this
 process.
 """
@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH",
                        help="JSON config file (defaults used when omitted)")
         p.add_argument("--seed", type=int, default=seed_default, metavar="U64",
-                       help="master seed")
+                       help="master seed, at least 0")
 
     parser = argparse.ArgumentParser(
         prog="ssbl", description="social-force simulation and behavior learning")
@@ -224,6 +224,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, SpawnError, SimulationFault, OSError,
             json.JSONDecodeError) as e:

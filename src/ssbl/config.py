@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .geometry import ProxemicsConfig, WorldConfig
 from .groups import GroupSpawnSpec, ShaGains
-from .rewards import RewardWeights
+from .rewards import MAX_WEIGHT, RewardWeights
 
 
 class ConfigError(ValueError):
@@ -86,9 +86,19 @@ class TrainConfig:
             raise ValueError("discount must lie in (0, 1]")
         if self.population < 2 or self.episodes_per_eval < 1:
             raise ValueError("population >= 2 and episodes_per_eval >= 1 required")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("eval_episodes", "rollout_episodes", "minibatch"):
+        for name in ("iterations", "master_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, low, high in (("init_noise", 0.0, MAX_WEIGHT),
+                                ("noise_decay", 0.0, 1.0),
+                                ("gae_lambda", 0.0, 1.0),
+                                ("log_std_init", -20.0, 20.0)):
+            if not low <= getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in [{low:g}, {high:g}], "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 < self.step_size <= 1.0:
+            raise ValueError(f"step_size must lie in (0, 1], got {self.step_size}")
+        for name in ("eval_episodes", "rollout_episodes", "minibatch", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if any(h < 1 for h in self.hidden_sizes):

@@ -10,8 +10,9 @@ integrate, (3) the o-space is re-estimated from the new SHA positions,
 (4) reward increments are computed from the tick's displacements against the
 pre-tick field, (5) success and termination are evaluated on the post-tick
 state. A batch holds running episodes only: `step` refuses a batch that
-holds a finished lane, and `keep` drops lanes from every per-lane array, so
-a tick costs only the episodes still running."""
+holds a finished lane, and `keep` drops lanes from every per-lane array,
+`lane` (each lane's index in the batch) included, so a tick costs only the
+episodes still running."""
 
 from __future__ import annotations
 
@@ -104,14 +105,14 @@ class ApproachEnv:
         """Spawn one episode per entry of `seeds` (each an int or a sequence
         of ints, collapsed by `derive_episode_seed`) straight into the lane
         arrays, every agent at rest; returns their observations (B, L)."""
-        self.seeds = list(seeds)
         pos, heading = zip(*(spawn_episode(self.episode.spawn, self.world,
                                            derive_episode_seed(s))
-                             for s in self.seeds))
+                             for s in seeds))
         self.pos, self.heading = np.stack(pos), np.stack(heading)
         self.vel = np.zeros_like(self.pos)
         self.center, self.radius = ospace_of(self.pos[:, 1:], self.prox.s_min)
-        b = len(self.seeds)
+        self.lane = np.arange(len(self.pos))
+        b = len(self.lane)
         self.t = np.zeros(b, dtype=np.int64)
         self.hold = np.zeros(b, dtype=np.int64)
         self.done = np.zeros(b, dtype=bool)
@@ -125,11 +126,10 @@ class ApproachEnv:
 
     def keep(self, mask: np.ndarray) -> None:
         """Hold only the lanes where `mask` (B,) is true, in their order."""
-        for name in ("pos", "vel", "heading", "center", "radius", "t", "hold",
-                     "done", "success"):
+        for name in ("lane", "pos", "vel", "heading", "center", "radius", "t",
+                     "hold", "done", "success"):
             setattr(self, name, getattr(self, name)[mask])
         self.field = _take(self.field, mask)
-        self.seeds = [s for s, k in zip(self.seeds, mask) if k]
 
     def step(self, actions: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RewardBreakdown]:

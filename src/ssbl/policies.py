@@ -5,9 +5,9 @@ Network parameters are canonically float32 (that is what checkpoints store);
 forward passes run in float64 on upcast weights. `run_layers` is the one
 tanh MLP: policies run it through `einsum`, whose rows do not depend on the
 batch around them; the trainers through faster BLAS matmul, whose rows do.
-A policy maps observations (B, L) to actions (B, 2); `begin_episode(seeds)`
-starts one episode per seed, and `keep(mask)` drops the lanes of the
-episodes that ended, as the env does.
+A policy's `begin_episode(seeds)` starts one episode per seed, and
+`act(obs, env)` maps observations (B, L) to actions (B, 2) for the lanes
+`env.lane` names; `act(obs, None)` acts for every lane of a whole batch.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ def sffm_baseline_policy(heading: np.ndarray, force: np.ndarray,
 
 class NetworkPolicy:
     """Deterministic policy backed by PolicyParams. A list of PolicyParams
-    makes a population: with P networks, network p drives the p-th block of
-    B / P consecutive lanes. A lane's action depends only on its observation
-    and its network's weights."""
+    makes a population: with P networks, network k // (B / P) drives lane
+    k of B. A lane's action depends only on its observation and its
+    network's weights."""
 
     def __init__(self, params: PolicyParams | list[PolicyParams]):
         self.params = [params] if isinstance(params, PolicyParams) else list(params)
@@ -183,38 +183,38 @@ class NetworkPolicy:
         self.begin_episode(())
 
     def begin_episode(self, seeds) -> None:
+        self._batch, self._placed = len(seeds), None
         self._layers = self._population
-        self._net = None     # lanes in whole blocks, until the first keep()
+        self._held = np.arange(len(self._layers[0][0]))     # their networks
 
-    def keep(self, mask: np.ndarray) -> None:
-        """Drive only the lanes where `mask` is true. Each held lane keeps
-        its network `_net` and gets a slot among that network's lanes. Once
-        at most half of the held networks still have a lane, the weights of
-        those are gathered and the rest dropped, so the copies made in one
+    def _place(self, lane: np.ndarray, batch: int) -> None:
+        """Each lane's network and its slot among that network's lanes, in
+        a zeroed input buffer of networks by lanes, for `lane.size` lanes
+        (`_placed`). Once at most half of the held networks have a lane,
+        their weights are gathered and the rest dropped, so the copies of one
         episode add up to less than the population."""
-        held = len(self._layers[0][0])
-        net = self._net
-        if net is None:
-            net = np.arange(mask.size) // (mask.size // held)
-        net = net[mask]
+        n_nets = len(self._population[0][0])
+        net = lane // (batch // n_nets)
         # networks with a lane (np.unique would import numpy.ma, ~1 MB, on first use)
-        live = np.flatnonzero(np.bincount(net, minlength=held))
-        if 2 * live.size <= held:
-            self._layers = [(w[live], b[live]) for w, b in self._layers]
-            net = np.searchsorted(live, net)
-        self._net = net
-        self._slot = np.arange(net.size) - np.searchsorted(net, net)
+        live = np.flatnonzero(np.bincount(net, minlength=n_nets))
+        if 2 * live.size <= self._held.size:
+            self._layers = [(w[live], b[live]) for w, b in self._population]
+            self._held = live
+        self._net = np.searchsorted(self._held, net)
+        self._slot = np.arange(net.size) - np.searchsorted(self._net, self._net)
+        self._x = np.zeros((self._held.size, self._slot.max() + 1,
+                            self._population[0][0].shape[-1]))
+        self._placed = lane.size
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
-        held = len(self._layers[0][0])
-        if self._net is None:
-            x = obs.reshape(held, -1, obs.shape[-1])
-        else:
-            # networks by lanes, padded to the network with the most lanes
-            x = np.zeros((held, self._slot.max() + 1, obs.shape[-1]))
-            x[self._net, self._slot] = obs
-        out, _ = run_layers(self._layers, x * OBS_SCALE, subscripts="poi,pbi->pbo")
-        return out.reshape(-1, 2) if self._net is None else out[self._net, self._slot]
+    def act(self, obs: np.ndarray, env: ApproachEnv | None) -> np.ndarray:
+        lane, batch = ((np.arange(len(obs)), len(obs)) if env is None
+                       else (env.lane, self._batch))
+        if lane.size != self._placed:
+            self._place(lane, batch)
+        self._x[self._net, self._slot] = obs
+        out, _ = run_layers(self._layers, self._x * OBS_SCALE,
+                            subscripts="poi,pbi->pbo")
+        return out[self._net, self._slot]
 
 
 class SffmPolicy:
@@ -222,9 +222,6 @@ class SffmPolicy:
     env. It always uses the default controller gains, whatever the SHAs use."""
 
     def begin_episode(self, seeds) -> None:
-        pass
-
-    def keep(self, mask: np.ndarray) -> None:
         pass
 
     def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
@@ -237,11 +234,11 @@ NOISE_BLOCK = 512   # ticks of noise a lane draws at once: bounded at any horizo
 
 
 class LaneNoise:
-    """Noise (B, 2) per tick from one generator per episode. Each generator
-    draws its lane's next NOISE_BLOCK ticks in one call, `draw(rng, (k, 2))`;
-    numpy's generators give one (k, 2) draw the bytes of k draws of 2, so a
-    lane's noise is its per-tick draws at any batch size. It counts its own
-    ticks from `begin_episode`, which in a rollout is `env.t`."""
+    """Noise per tick from one generator per episode: `next(lane)` gives the
+    rows (B, 2) of the lanes `lane`. Every generator, a finished lane's too,
+    draws its next NOISE_BLOCK ticks in one call, `draw(rng, (k, 2))`, and
+    numpy gives one (k, 2) draw the bytes of k draws of 2, so a lane's noise
+    is its per-tick draws at any batch size. Ticks count from `begin_episode`."""
 
     def __init__(self, draw):
         self._draw = draw
@@ -252,17 +249,13 @@ class LaneNoise:
         self._block = np.empty((len(self._rngs), 0, 2))
         self._tick = 0      # the block column of the next tick
 
-    def keep(self, mask: np.ndarray) -> None:
-        self._rngs = [rng for rng, k in zip(self._rngs, mask) if k]
-        self._block = self._block[mask]
-
-    def next(self) -> np.ndarray:
+    def next(self, lane=slice(None)) -> np.ndarray:
         if self._tick == self._block.shape[1]:
             self._block = np.stack([self._draw(rng, (NOISE_BLOCK, 2))
                                     for rng in self._rngs])
             self._tick = 0
         self._tick += 1
-        return self._block[:, self._tick - 1].copy()
+        return self._block[lane, self._tick - 1]
 
 
 RANDOM_POLICY_STREAM = 0x5EED
@@ -280,11 +273,8 @@ class RandomPolicy:
         self._noise.begin_episode([[RANDOM_POLICY_STREAM] + [int(v) for v in m]
                                    for m in material])
 
-    def keep(self, mask: np.ndarray) -> None:
-        self._noise.keep(mask)
-
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
-        return self._noise.next()
+    def act(self, obs: np.ndarray, env: ApproachEnv | None) -> np.ndarray:
+        return self._noise.next(slice(None) if env is None else env.lane)
 
 
 def make_policy(spec: str, cfg: FullConfig | None = None):

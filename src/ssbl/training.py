@@ -13,6 +13,8 @@ and exploration never share randomness:
   [master, 6, episode]              baseline-imitation episodes (warm start)
   [master, 7]                       imitation fitting (init and shuffling)
   [master, 10]                      CEM parameter sampling
+  [master, 20]                      PPO network initialization
+  [seed, 99]                        PPO's gradient check (seed = master)
 """
 
 from __future__ import annotations
@@ -84,35 +86,33 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
     """Run one episode per seed, all in one lockstep batch; with `record`,
     also keep each episode's track. This is the one loop that steps the
     environment. After a tick in which some episodes end and others go on,
-    the env and the policy drop the ended ones (`keep`), so every tick
-    steps running episodes only; results are scattered back by seed index."""
+    the env drops the ended ones (`keep`), so every tick steps running
+    episodes only; `env.lane` says which seeds those are, for the policy
+    and for scattering the results back by seed index."""
+    seeds = list(seeds)
     obs = env.reset(seeds)
-    seeds = env.seeds
     policy.begin_episode(seeds)
     n = len(seeds)
-    lanes = np.arange(n)            # the seed index of every held lane
     ret = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     success = np.zeros(n, dtype=bool)
-    states = [(lanes, env.pos, env.vel, env.heading)]
+    states = [(env.lane, env.pos, env.vel, env.heading)]
     ticks = []
-    while lanes.size:
+    while True:
         action = policy.act(obs, env)
         obs, reward, done, bd = env.step(action)
-        ret[lanes] += reward
+        lane = env.lane
+        ret[lane] += reward
         if record:
-            states.append((lanes, env.pos, env.vel, env.heading))
-            ticks.append((lanes, action, *(getattr(bd, k) for k in REWARD_KEYS)))
+            states.append((lane, env.pos, env.vel, env.heading))
+            ticks.append((lane, action, *(getattr(bd, k) for k in REWARD_KEYS)))
         if done.any():
-            ended = lanes[done]
-            steps[ended] = env.t[done]
-            success[ended] = env.success[done]
-            running = ~done
-            lanes = lanes[running]
-            if lanes.size:
-                env.keep(running)
-                policy.keep(running)
-                obs = obs[running]
+            steps[lane[done]] = env.t[done]
+            success[lane[done]] = env.success[done]
+            if done.all():
+                break
+            env.keep(~done)
+            obs = obs[~done]
     tracks = [None] * n
     if record:
         tracks = [dict(zip(STATES + STEPS, s + a)) for s, a in
@@ -559,12 +559,9 @@ class _GaussianPolicy(NetworkPolicy):
         super().begin_episode(seeds)
         self._noise.begin_episode(self._noise_seeds)
 
-    def keep(self, mask: np.ndarray) -> None:
-        super().keep(mask)
-        self._noise.keep(mask)
-
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
-        return super().act(obs, env) + self._std * self._noise.next()
+    def act(self, obs: np.ndarray, env: ApproachEnv | None) -> np.ndarray:
+        noise = self._noise.next(slice(None) if env is None else env.lane)
+        return super().act(obs, env) + self._std * noise
 
 
 def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, TrainReport]:

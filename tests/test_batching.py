@@ -96,18 +96,19 @@ def test_generators_stay_with_their_episodes(name):
 def test_lane_noise_is_each_lanes_per_tick_draws(draw, args):
     """LaneNoise draws a block of ticks per lane in one call; every lane
     still gets what its generator gives drawn two values a tick, across
-    block ends and after other lanes are dropped mid-block."""
+    block ends and after other lanes leave the lane index mid-block."""
     seeds = [[4, k] for k in range(5)]
     noise = LaneNoise(lambda rng, shape: getattr(rng, draw)(*args, shape))
     noise.begin_episode(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
+    lane = np.arange(len(seeds))
     for tick in range(2 * NOISE_BLOCK + 3):
         if tick in (7, NOISE_BLOCK, NOISE_BLOCK + 1):
             mask = np.arange(len(rngs)) != tick % len(rngs)
-            noise.keep(mask)
+            lane = lane[mask]
             rngs = [rng for rng, k in zip(rngs, mask) if k]
         want = np.array([getattr(rng, draw)(*args, 2) for rng in rngs])
-        assert noise.next().tobytes() == want.tobytes(), tick
+        assert noise.next(lane).tobytes() == want.tobytes(), tick
 
 
 def random_population(size, seed=0):

@@ -316,18 +316,94 @@ def config_docs(draw):
     return doc
 
 
+def assert_runs_or_exits_2(argv):
+    """The CLI on `argv`, quietly: exit 0, or exit 2 with an error line."""
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        rc = main(argv)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(doc=config_docs())
 def test_any_config_runs_or_exits_2(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("cfg") / "cfg.json"
     path.write_text(json.dumps(doc))
-    err, out = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
-        rc = main(["eval", "--policy", "sffm", "--episodes", "1",
-                   "--config", str(path)])
-    assert rc in (0, 2)
-    if rc == 2:
-        assert err.getvalue().startswith("error: ")
+    assert_runs_or_exits_2(["eval", "--policy", "sffm", "--episodes", "1",
+                            "--config", str(path)])
+
+
+# the train keys that size a run, from ranges that keep each example quick
+_TRAIN_SIZE_KEYS = {"population": st.integers(0, 4),
+                    "episodes_per_eval": st.integers(0, 2),
+                    "eval_episodes": st.integers(0, 2),
+                    "rollout_episodes": st.integers(0, 2),
+                    "minibatch": st.integers(0, 64), "epochs": st.integers(-1, 2),
+                    "hidden_sizes": st.lists(st.integers(-1, 6), max_size=2)}
+_TRAIN_KEYS = list(config_to_dict(default_config())["train"].items())
+
+
+@st.composite
+def train_docs(draw):
+    """A small training run, CEM or PPO, with or without the warm start,
+    and one or two `train` keys set to a value of their type."""
+    train = {"algo": draw(st.sampled_from(["cem", "ppo"])),
+             "warm_start": draw(st.booleans()), "population": 2,
+             "eval_episodes": 1, "rollout_episodes": 1, "hidden_sizes": [4]}
+    for key, default in draw(st.lists(st.sampled_from(_TRAIN_KEYS), min_size=1,
+                                      max_size=2, unique_by=lambda k: k[0])):
+        train[key] = draw(_TRAIN_SIZE_KEYS.get(key, _values_like(key, default)))
+    return {"episode": {"max_steps": 20}, "train": train}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(doc=train_docs())
+def test_any_train_config_runs_or_exits_2(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("train")
+    (tmp / "cfg.json").write_text(json.dumps(doc))
+    assert_runs_or_exits_2(["train", "--iters", "1", "--config",
+                            str(tmp / "cfg.json"), "--out", str(tmp / "run")])
+
+
+# settings that drove the trained parameters non-finite (huge CEM noise, a
+# tiny PPO log-std, a huge step size, a negative GAE lambda), that train
+# nothing (a zero step size, no epochs), a negative noise and a negative seed
+BAD_TRAIN_CONFIGS = {
+    "cem-huge-init-noise": {"warm_start": False, "init_noise": 1e200},
+    "cem-huge-noise-decay": {"noise_decay": 1e300},
+    "ppo-tiny-log-std": {"algo": "ppo", "log_std_init": -1000.0},
+    "ppo-huge-step-size": {"algo": "ppo", "step_size": 1e300},
+    "ppo-negative-gae-lambda": {"algo": "ppo", "gae_lambda": -5.0},
+    "ppo-zero-step-size": {"algo": "ppo", "step_size": 0.0},
+    "negative-init-noise": {"init_noise": -1.0},
+    "no-epochs": {"algo": "ppo", "epochs": -1},
+    "negative-master-seed": {"master_seed": -1}}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_TRAIN_CONFIGS))
+def test_bad_train_config_exits_2_and_writes_nothing(tmp_path, capsys, bad):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"episode": {"max_steps": 60},
+                               "train": {"hidden_sizes": [8], "population": 4,
+                                         "eval_episodes": 2,
+                                         **BAD_TRAIN_CONFIGS[bad]}}))
+    rc = main(["train", "--iters", "2", "--config", str(cfg),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "eval", "features-check",
+                                     "simulate", "train"])
+def test_negative_seed_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    args = {**_POLICY_ARGS, "features-check": [], "train": []}[command]
+    rc = main([command, *args, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: --seed must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_with_overflowing_reward_exits_2_and_writes_nothing(tmp_path, capsys):
