@@ -2,8 +2,9 @@
 
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
-(a negative --seed, an unplaceable spawn, a run driven to a non-finite
-state and a NaN or infinity bound for an output included).
+(a negative --seed, an oversized group or CEM draw, an unplaceable spawn, a
+run driven to a non-finite state and a NaN or infinity bound for an output
+included).
 Every command steps all its episodes of one policy as one batch in this
 process.
 """
@@ -26,7 +27,7 @@ from .groups import SpawnError
 from .metrics import aggregate_stats, live_stats, run_compare
 from .policies import make_policy, save_checkpoint
 from .trajlog import make_header, step_table, write_trajectory
-from .training import make_env, rollout, train
+from .training import check_run_size, make_env, rollout, train
 
 log = logging.getLogger("ssbl")
 
@@ -84,6 +85,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.train.master_seed = int(args.seed)
     cfg.validate()
+    check_run_size(cfg.train, cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,8 @@ pre-tick field, (5) success and termination are evaluated on the post-tick
 state. A batch holds running episodes only: `step` refuses a batch that
 holds a finished lane, and `keep` drops lanes from every per-lane array,
 `lane` (each lane's index in the batch) included, so a tick costs only the
-episodes still running."""
+episodes still running. Every held lane is therefore at the same tick, and
+`t` is one int for the batch: 0 after `reset`, the ticks stepped since."""
 
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ class ApproachEnv:
         self.center, self.radius = ospace_of(self.pos[:, 1:], self.prox.s_min)
         self.lane = np.arange(len(self.pos))
         b = len(self.lane)
-        self.t = np.zeros(b, dtype=np.int64)
+        self.t = 0
         self.hold = np.zeros(b, dtype=np.int64)
         self.done = np.zeros(b, dtype=bool)
         self.success = np.zeros(b, dtype=bool)
@@ -126,7 +127,7 @@ class ApproachEnv:
 
     def keep(self, mask: np.ndarray) -> None:
         """Hold only the lanes where `mask` (B,) is true, in their order."""
-        for name in ("lane", "pos", "vel", "heading", "center", "radius", "t",
+        for name in ("lane", "pos", "vel", "heading", "center", "radius",
                      "hold", "done", "success"):
             setattr(self, name, getattr(self, name)[mask])
         self.field = _take(self.field, mask)
@@ -179,7 +180,7 @@ class ApproachEnv:
         self.pos, self.vel, self.heading = new_pos, new_vel, new_heading
         self.center, self.radius = center, radius
         self.field = _take(both, 1)
-        self.t = self.t + 1
+        self.t += 1
         on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], center,
                                   radius, self.episode.success_band,
                                   self.episode.success_angle)

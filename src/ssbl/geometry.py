@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .rewards import MAX_WEIGHT
+
 TWO_PI = 2.0 * math.pi
 
 # Below this norm a direction is undefined and every direction-dependent
@@ -130,14 +132,13 @@ class WorldConfig:
     damping: float = 0.95
 
     def validate(self) -> None:
-        if self.floor_side <= 0.0:
-            raise ValueError("floor_side must be positive")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
-        if self.v_max <= 0.0 or self.a_max <= 0.0 or self.omega_max <= 0.0:
-            raise ValueError("v_max, a_max and omega_max must be positive")
+        # a longer tick or larger sizes overflowed the state or the returns
+        for name, high in (("floor_side", MAX_WEIGHT), ("dt", 1.0),
+                           ("v_max", MAX_WEIGHT), ("a_max", MAX_WEIGHT),
+                           ("omega_max", MAX_WEIGHT), ("damping", 1.0)):
+            if not 0.0 < getattr(self, name) <= high:
+                raise ValueError(f"{name} must lie in (0, {high:g}], "
+                                 f"got {getattr(self, name)}")
 
 
 def advance(pos: np.ndarray, vel: np.ndarray, heading: np.ndarray,

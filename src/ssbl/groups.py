@@ -16,6 +16,9 @@ class SpawnError(RuntimeError):
     """Spawn constraints could not be satisfied."""
 
 
+MAX_SHAS = 64   # largest group: 20 episodes of 64 SHAs take seconds to evaluate
+
+
 @dataclass(slots=True)
 class GroupSpawnSpec:
     """Initial-configuration parameters for one episode."""
@@ -27,8 +30,8 @@ class GroupSpawnSpec:
     rng_seed: int = 0
 
     def validate(self, world: WorldConfig, prox: ProxemicsConfig) -> None:
-        if self.n_shas < 2:
-            raise ValueError(f"n_shas must be >= 2, got {self.n_shas}")
+        if not 2 <= self.n_shas <= MAX_SHAS:
+            raise ValueError(f"n_shas must lie in [2, {MAX_SHAS}], got {self.n_shas}")
         if self.robot_min_dist <= prox.d_social:
             raise ValueError(
                 f"robot_min_dist ({self.robot_min_dist}) must exceed "

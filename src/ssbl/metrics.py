@@ -91,11 +91,8 @@ def aggregate_stats(stats: list[dict]) -> SocialMetrics:
 def compute_metrics(paths: list[str | Path],
                     prox: ProxemicsConfig) -> SocialMetrics:
     """Aggregate metrics over trajectory files written by `simulate`."""
-    stats = []
-    for path in paths:
-        header, records = read_trajectory(path)
-        stats.append(episode_stats(header["agents"], records, prox))
-    return aggregate_stats(stats)
+    return aggregate_stats([episode_stats(header["agents"], records, prox)
+                            for header, records in map(read_trajectory, paths)])
 
 
 def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
@@ -156,17 +153,11 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
                                       anchors["sffm"], anchors["random"])
            for spec in (policy_a, policy_b)}
 
-    deltas = []
-    for i, (sa, sb) in enumerate(zip(stats_a, stats_b)):
-        deltas.append({
-            "episode": i,
-            "seed": seeds[i],
-            "return_a": sa["return"],
-            "return_b": sb["return"],
-            "delta_return": sb["return"] - sa["return"],
-            "success_a": sa["success"],
-            "success_b": sb["success"],
-        })
+    deltas = [{"episode": i, "seed": seed,
+               "return_a": sa["return"], "return_b": sb["return"],
+               "delta_return": sb["return"] - sa["return"],
+               "success_a": sa["success"], "success_b": sb["success"]}
+              for i, (seed, sa, sb) in enumerate(zip(seeds, stats_a, stats_b))]
 
     report = CompareReport(
         policy_a=policy_a,

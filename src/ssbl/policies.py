@@ -7,7 +7,7 @@ tanh MLP: policies run it through `einsum`, whose rows do not depend on the
 batch around them; the trainers through faster BLAS matmul, whose rows do.
 A policy's `begin_episode(seeds)` starts one episode per seed, and
 `act(obs, env)` maps observations (B, L) to actions (B, 2) for the lanes
-`env.lane` names; `act(obs, None)` acts for every lane of a whole batch.
+`env.lane` names, at the batch's tick `env.t`.
 """
 
 from __future__ import annotations
@@ -173,28 +173,28 @@ def sffm_baseline_policy(heading: np.ndarray, force: np.ndarray,
 class NetworkPolicy:
     """Deterministic policy backed by PolicyParams. A list of PolicyParams
     makes a population: with P networks, network k // (B / P) drives lane
-    k of B. A lane's action depends only on its observation and its
+    k of the B that `begin_episode` began, whichever of them `env.lane`
+    holds. A lane's action depends only on its observation and its
     network's weights."""
 
     def __init__(self, params: PolicyParams | list[PolicyParams]):
-        self.params = [params] if isinstance(params, PolicyParams) else list(params)
-        self._population = population_layers([p.flat_params for p in self.params],
-                                             self.params[0].layer_sizes)
-        self.begin_episode(())
+        params = [params] if isinstance(params, PolicyParams) else params
+        self._population = population_layers([p.flat_params for p in params],
+                                             params[0].layer_sizes)
 
     def begin_episode(self, seeds) -> None:
         self._batch, self._placed = len(seeds), None
         self._layers = self._population
         self._held = np.arange(len(self._layers[0][0]))     # their networks
 
-    def _place(self, lane: np.ndarray, batch: int) -> None:
+    def _place(self, lane: np.ndarray) -> None:
         """Each lane's network and its slot among that network's lanes, in
         a zeroed input buffer of networks by lanes, for `lane.size` lanes
         (`_placed`). Once at most half of the held networks have a lane,
         their weights are gathered and the rest dropped, so the copies of one
         episode add up to less than the population."""
         n_nets = len(self._population[0][0])
-        net = lane // (batch // n_nets)
+        net = lane // (self._batch // n_nets)
         # networks with a lane (np.unique would import numpy.ma, ~1 MB, on first use)
         live = np.flatnonzero(np.bincount(net, minlength=n_nets))
         if 2 * live.size <= self._held.size:
@@ -206,11 +206,9 @@ class NetworkPolicy:
                             self._population[0][0].shape[-1]))
         self._placed = lane.size
 
-    def act(self, obs: np.ndarray, env: ApproachEnv | None) -> np.ndarray:
-        lane, batch = ((np.arange(len(obs)), len(obs)) if env is None
-                       else (env.lane, self._batch))
-        if lane.size != self._placed:
-            self._place(lane, batch)
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        if env.lane.size != self._placed:
+            self._place(env.lane)
         self._x[self._net, self._slot] = obs
         out, _ = run_layers(self._layers, self._x * OBS_SCALE,
                             subscripts="poi,pbi->pbo")
@@ -234,28 +232,24 @@ NOISE_BLOCK = 512   # ticks of noise a lane draws at once: bounded at any horizo
 
 
 class LaneNoise:
-    """Noise per tick from one generator per episode: `next(lane)` gives the
-    rows (B, 2) of the lanes `lane`. Every generator, a finished lane's too,
-    draws its next NOISE_BLOCK ticks in one call, `draw(rng, (k, 2))`, and
-    numpy gives one (k, 2) draw the bytes of k draws of 2, so a lane's noise
-    is its per-tick draws at any batch size. Ticks count from `begin_episode`."""
+    """Noise per tick from one generator per episode: `next(lane, t)` gives
+    the rows (B, 2) of the lanes `lane` at tick `t`, which counts every tick
+    from 0 (the env's `t`). At each multiple of NOISE_BLOCK every generator,
+    a finished lane's too, draws its next NOISE_BLOCK ticks in one call,
+    `draw(rng, (k, 2))`, and numpy gives one (k, 2) draw the bytes of k draws
+    of 2, so a lane's noise is its per-tick draws at any batch size."""
 
     def __init__(self, draw):
         self._draw = draw
-        self.begin_episode(())
 
     def begin_episode(self, seeds) -> None:
         self._rngs = [np.random.default_rng(s) for s in seeds]
-        self._block = np.empty((len(self._rngs), 0, 2))
-        self._tick = 0      # the block column of the next tick
 
-    def next(self, lane=slice(None)) -> np.ndarray:
-        if self._tick == self._block.shape[1]:
+    def next(self, lane: np.ndarray, t: int) -> np.ndarray:
+        if t % NOISE_BLOCK == 0:
             self._block = np.stack([self._draw(rng, (NOISE_BLOCK, 2))
                                     for rng in self._rngs])
-            self._tick = 0
-        self._tick += 1
-        return self._block[lane, self._tick - 1]
+        return self._block[lane, t % NOISE_BLOCK]
 
 
 RANDOM_POLICY_STREAM = 0x5EED
@@ -273,8 +267,8 @@ class RandomPolicy:
         self._noise.begin_episode([[RANDOM_POLICY_STREAM] + [int(v) for v in m]
                                    for m in material])
 
-    def act(self, obs: np.ndarray, env: ApproachEnv | None) -> np.ndarray:
-        return self._noise.next(slice(None) if env is None else env.lane)
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        return self._noise.next(env.lane, env.t)
 
 
 def make_policy(spec: str, cfg: FullConfig | None = None):

@@ -20,6 +20,7 @@ and exploration never share randomness:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import time
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import FullConfig, TrainConfig
+from .config import ConfigError, FullConfig, TrainConfig
 from .env import ApproachEnv, encode_observation, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
 from .policies import (OBS_SCALE, LaneNoise, NetworkPolicy, PolicyParams,
@@ -44,6 +45,19 @@ class GradientCheckError(RuntimeError):
 
 def make_env(cfg: FullConfig) -> ApproachEnv:
     return ApproachEnv(cfg.world, cfg.proxemics, cfg.episode, cfg.sha_gains)
+
+
+# Largest CEM draw, population × parameters (368 k at the default config).
+MAX_CEM_DRAW = 2 ** 24
+
+
+def check_run_size(cfg: TrainConfig, full_cfg: FullConfig) -> None:
+    """ConfigError for a CEM run that would draw more than MAX_CEM_DRAW values."""
+    n_obs = observation_length(full_cfg.episode.spawn.n_shas)
+    size = cfg.population * param_count((n_obs, *cfg.hidden_sizes, 2))
+    if cfg.algo == "cem" and size > MAX_CEM_DRAW:
+        raise ConfigError(f"train.population times the network's parameters is "
+                          f"{size} values per CEM draw, above {MAX_CEM_DRAW}")
 
 
 # -- rollouts and evaluation --------------------------------------------------
@@ -107,7 +121,7 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
             states.append((lane, env.pos, env.vel, env.heading))
             ticks.append((lane, action, *(getattr(bd, k) for k in REWARD_KEYS)))
         if done.any():
-            steps[lane[done]] = env.t[done]
+            steps[lane[done]] = env.t
             success[lane[done]] = env.success[done]
             if done.all():
                 break
@@ -140,18 +154,13 @@ def relative_performance(r_model: float, r_baseline: float,
     """Percent scale on which the random anchor is 0% and the baseline 100%."""
     denom = r_baseline - r_random
     if abs(denom) < 1e-12:
-        raise ValueError("degenerate anchors: baseline and random returns equal")
+        raise ConfigError("degenerate anchors: baseline and random returns equal")
     return 100.0 * ((r_model - r_random) / denom)
 
 
 def ewma(values, alpha: float = 0.1) -> list[float]:
     """Exponentially weighted running average used to smooth learning curves."""
-    out: list[float] = []
-    s = None
-    for v in values:
-        s = v if s is None else s + alpha * (v - s)
-        out.append(s)
-    return out
+    return list(itertools.accumulate(values, lambda s, v: s + alpha * (v - s)))
 
 
 @dataclass(slots=True)
@@ -315,9 +324,8 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     if cfg.iterations > 0:
         finalists.append(PolicyParams(layer_sizes, mu.astype(np.float32)))
         finalists.append(best_params)
-    params, report = _finalize_report("cem", cfg, env, layer_sizes, finalists,
-                                      iter_log, t_start)
-    return params, report
+    return _finalize_report("cem", cfg, env, layer_sizes, finalists, iter_log,
+                            t_start)
 
 
 # -- fitting a tanh MLP in place: distillation and PPO ---------------------------
@@ -559,8 +567,8 @@ class _GaussianPolicy(NetworkPolicy):
         super().begin_episode(seeds)
         self._noise.begin_episode(self._noise_seeds)
 
-    def act(self, obs: np.ndarray, env: ApproachEnv | None) -> np.ndarray:
-        noise = self._noise.next(slice(None) if env is None else env.lane)
+    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+        noise = self._noise.next(env.lane, env.t)
         return super().act(obs, env) + self._std * noise
 
 
@@ -643,9 +651,8 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
         })
 
     finalists = [PolicyParams(layer_sizes, flat.astype(np.float32))]
-    params, report = _finalize_report("ppo", cfg, env, layer_sizes, finalists,
-                                      iter_log, t_start)
-    return params, report
+    return _finalize_report("ppo", cfg, env, layer_sizes, finalists, iter_log,
+                            t_start)
 
 
 def _init_mlp(rng: np.random.Generator, layer_sizes) -> np.ndarray:

@@ -5,6 +5,7 @@ oracle that trajectory files are checked against."""
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,14 +47,22 @@ def point_field(p, others, prox, ospace):
                     np.array(ospace.radius))
 
 
-def step_group_once(agents, prox, world, gains=DEFAULT_GAINS):
-    """One tick for the SHAs; non-SHA agents stay frozen in place."""
-    pos, vel, heading = as_arrays(agents)
-    is_sha = np.array([a.role is Role.SHA for a in agents])
+def group_tick(pos, vel, heading, is_sha, prox, world, gains=DEFAULT_GAINS):
+    """Positions, velocities (B, N, 2) and headings (B, N) after one tick in
+    which every agent follows the SHA controller, in the field of the
+    o-space of the agents where is_sha (N,); each lane of B from its own
+    entries alone."""
     center, radius = ospace_of(pos[:, is_sha], prox.s_min)
     f = field_at(pos, neighbours_of(pos), prox, center, radius)
     accel, turn = sha_commands(f.combined, f.d_e, f.d_c, heading, world, gains)
-    new_pos, new_vel, new_heading = advance(pos, vel, heading, accel, turn, world)
+    return advance(pos, vel, heading, accel, turn, world)
+
+
+def step_group_once(agents, prox, world, gains=DEFAULT_GAINS):
+    """One tick for the SHAs; non-SHA agents stay frozen in place."""
+    is_sha = np.array([a.role is Role.SHA for a in agents])
+    new_pos, new_vel, new_heading = group_tick(*as_arrays(agents), is_sha, prox,
+                                               world, gains)
     return [replace(a, position=Vec2(*p), velocity=Vec2(*v), heading=h)
             if sha else a
             for a, sha, p, v, h in zip(agents, is_sha, new_pos[0].tolist(),
@@ -68,6 +77,19 @@ def run_group(agents, prox, world, steps, gains=DEFAULT_GAINS):
         agents = step_group_once(agents, prox, world, gains)
         traj.append(agents)
     return traj
+
+
+def stub_env(n, t=0):
+    """What a policy's `act` reads of an ApproachEnv besides its state: the
+    lanes, every lane of a whole batch of n, and the tick t."""
+    return SimpleNamespace(lane=np.arange(n), t=t)
+
+
+def batch_actions(policy, obs):
+    """A policy's actions at tick 0 for the rows of obs (B, L), each a lane
+    of a whole batch of B episodes begun with seeds 0 .. B - 1."""
+    policy.begin_episode(range(len(obs)))
+    return policy.act(obs, stub_env(len(obs)))
 
 
 def episode_records(track, success):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import agents_of, run_group
+from conftest import group_tick
 from ssbl.cli import main
 from ssbl.config import default_config
 from ssbl.forces import OSpace, combined_force
@@ -179,21 +179,23 @@ def test_c05_spatial_feature_suite():
 
 
 def test_c06_dyad_stability_100_seeds():
+    """The dyads of seeds 0-99 (each spawn's SHAs, without the robot) step
+    200 ticks as one batch of 100 lanes, every lane from its own entries."""
     cfg = default_config().validate()
     world, prox = cfg.world, cfg.proxemics
+    pos, heading = (np.stack(x)[:, 1:] for x in zip(
+        *(spawn_episode(GroupSpawnSpec(), world, seed) for seed in range(100))))
+    vel = np.zeros_like(pos)
+    settled = np.zeros(100, dtype=bool)
+    for _ in range(200):
+        new_pos, vel, heading = group_tick(pos, vel, heading, np.ones(2, bool), prox,
+                                           world, cfg.sha_gains)
+        step = new_pos - pos
+        settled |= np.hypot(step[..., 0], step[..., 1]).max(axis=1) < 1e-3
+        pos = new_pos
     for seed in range(100):
-        agents = agents_of(*spawn_episode(GroupSpawnSpec(), world, seed))[1:]
-        traj = run_group(agents, prox, world, 200, cfg.sha_gains)
-        settled = False
-        for i in range(len(traj) - 1):
-            moved = max((b.position - a.position).norm()
-                        for a, b in zip(traj[i], traj[i + 1]))
-            if moved < 1e-3:
-                settled = True
-                break
-        assert settled, f"seed {seed} never settled"
-        final = traj[-1]
-        dist = (final[0].position - final[1].position).norm()
+        assert settled[seed], f"seed {seed} never settled"
+        dist = math.hypot(*(pos[seed, 0] - pos[seed, 1]).tolist())
         assert prox.d_personal <= dist <= prox.d_social, f"seed {seed}: {dist}"
     _pass("dyad stability over 100 seeds")
 

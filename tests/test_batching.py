@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import episode_records
+from conftest import batch_actions, episode_records
 from ssbl.config import default_config
-from ssbl.policies import (NOISE_BLOCK, LaneNoise, NetworkPolicy, PolicyParams,
-                           RandomPolicy, SffmPolicy, load_checkpoint)
+from ssbl.policies import (NOISE_BLOCK, RANDOM_POLICY_STREAM, LaneNoise,
+                           NetworkPolicy, PolicyParams, RandomPolicy, SffmPolicy,
+                           load_checkpoint)
 from ssbl.training import _GaussianPolicy, make_env, rollout
 
 CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "checkpoint.json"
@@ -108,7 +109,31 @@ def test_lane_noise_is_each_lanes_per_tick_draws(draw, args):
             lane = lane[mask]
             rngs = [rng for rng, k in zip(rngs, mask) if k]
         want = np.array([getattr(rng, draw)(*args, 2) for rng in rngs])
-        assert noise.next(lane).tobytes() == want.tobytes(), tick
+        assert noise.next(lane, tick).tobytes() == want.tobytes(), tick
+
+
+# lanes whose random episodes end at ticks 378, 528, 663, 1036 and 1200
+REFILL_SEEDS = [[7, 13], [9, 7], [7, 0], [9, 12], [7, 1]]
+
+
+def test_random_episodes_across_noise_refills():
+    """Over 1200 ticks, with success anywhere within 1 m of the ring facing
+    it within 1.5 rad, lanes of one batch end before, between and after
+    LaneNoise's refills at ticks 512 and 1024. Every lane acts on its own
+    generator's per-tick draws and gives the records of its run alone."""
+    cfg = default_config()
+    cfg.episode.success_band, cfg.episode.success_angle = 1.0, 1.5
+    cfg.episode.success_hold, cfg.episode.max_steps = 1, 1200
+    cfg.validate()
+    together = rollout(make_env(cfg), RandomPolicy(), REFILL_SEEDS, record=True)
+    assert {r.steps // NOISE_BLOCK for r in together} == {0, 1, 2}
+    assert max(r.steps for r in together) == 1200
+    for seed, res in zip(REFILL_SEEDS, together):
+        rng = np.random.default_rng([RANDOM_POLICY_STREAM, *seed])
+        want = np.array([rng.uniform(-1.0, 1.0, 2) for _ in range(res.steps)])
+        assert res.track["action"].tobytes() == want.tobytes(), seed
+        (single,) = rollout(make_env(cfg), RandomPolicy(), [seed], record=True)
+        assert lines(res) == lines(single), seed
 
 
 def random_population(size, seed=0):
@@ -122,20 +147,20 @@ def random_population(size, seed=0):
 def test_forward_rows_do_not_depend_on_batch_or_population():
     population = random_population(64)
     obs = np.random.default_rng(1).uniform(-5.0, 5.0, (64 * 16, 22))
-    whole = NetworkPolicy(population).act(obs, None).reshape(64, 16, 2)
+    whole = batch_actions(NetworkPolicy(population), obs).reshape(64, 16, 2)
     for p in (0, 31, 63):
         rows = obs.reshape(64, 16, 22)[p]
         for batch in (1, 2, 7, 16):
-            got = NetworkPolicy(population[p]).act(rows[:batch], None)
+            got = batch_actions(NetworkPolicy(population[p]), rows[:batch])
             assert got.tobytes() == whole[p, :batch].tobytes()
-        alone = NetworkPolicy(population[p]).act(rows[3:4], None)
+        alone = batch_actions(NetworkPolicy(population[p]), rows[3:4])
         assert alone.tobytes() == whole[p, 3].tobytes()
     single = population[0]
     big = np.random.default_rng(2).uniform(-5.0, 5.0, (1024, 22))
-    full = NetworkPolicy(single).act(big, None)
+    full = batch_actions(NetworkPolicy(single), big)
     for batch in (1, 2, 7, 64, 128):
         for k in (0, batch - 1):
-            part = NetworkPolicy(single).act(big[k:k + batch], None)
+            part = batch_actions(NetworkPolicy(single), big[k:k + batch])
             assert part[0].tobytes() == full[k].tobytes()
 
 

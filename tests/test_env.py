@@ -106,7 +106,7 @@ def test_episode_ends_by_max_steps():
     for t in range(40):
         _, _, (done,), _ = env.step(act(0.0, 0.0))
         assert done == (t == 39) or done  # done may come early only via success
-    assert env.t[0] <= 40
+    assert env.t == 40
     assert env.done[0]
 
 

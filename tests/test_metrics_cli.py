@@ -245,7 +245,9 @@ def test_nonpositive_episodes_exit_2(tmp_path, capsys, command, episodes):
 
 # a spawn that cannot be placed, rewards that would overflow, a spawn seed that
 # would be overwritten, an o-space floor that drives the field non-finite, a
-# negative spawn box (found by test_any_config_runs_or_exits_2; -0.0 too)
+# negative spawn box (found by test_any_config_runs_or_exits_2; -0.0 too), a
+# group too large to allocate, a tick that overflowed the state and the returns
+# (found when that test drew `simulate` and `compare` too)
 BAD_CONFIGS = {"unplaceable-spawn": {"spawn": {"robot_min_dist": 9.0}},
                "overflowing-reward": {"reward_weights": {"w4": 1e308,
                                                          "success_bonus": 1e308}},
@@ -254,7 +256,9 @@ BAD_CONFIGS = {"unplaceable-spawn": {"spawn": {"robot_min_dist": 9.0}},
                "negative-center-region": {"spawn": {"center_region": -0.0}},
                "negative-sha-gain": {"sha_controller": {"k_turn": -2.0}},
                "runaway-sha-gain": {"sha_controller": {"gain_f": -1.7e308}},
-               "oversized-sha-weight": {"sha_controller": {"w_dc": 1e7}}}
+               "oversized-sha-weight": {"sha_controller": {"w_dc": 1e7}},
+               "oversized-group": {"spawn": {"n_shas": 100000}},
+               "huge-dt": {"world": {"dt": 7.363836819349929e+306}}}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
@@ -271,6 +275,30 @@ def test_bad_config_exits_2_and_writes_no_non_finite(tmp_path, capsys, command, 
     for text in [captured.out] + [p.read_text() for p in tmp_path.rglob("*")
                                   if p.is_file()]:
         assert "NaN" not in text and "Infinity" not in text
+
+
+@pytest.mark.parametrize("command", sorted(_POLICY_ARGS))
+def test_oversized_group_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(BAD_CONFIGS["oversized-group"]))
+    rc = main([command, *_POLICY_ARGS[command], "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: n_shas must lie in [2, 64]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_with_equal_anchors_exits_2(tmp_path, capsys):
+    """On a 20 m floor the robot of seed [0, 0] starts 9.7 m from the group,
+    beyond the field's reach (d_public, 7.6 m): sffm and random both return
+    0, and the relative scale is undefined (found by
+    test_any_config_runs_or_exits_2)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"world": {"floor_side": 20.0}}))
+    rc = main(["compare", *_POLICY_ARGS["compare"], "--episodes", "1",
+               "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error: degenerate anchors" in capsys.readouterr().err
 
 
 # the integers that size an episode, from ranges that keep each example quick
@@ -326,13 +354,15 @@ def assert_runs_or_exits_2(argv):
         assert err.getvalue().startswith("error: ")
 
 
+@pytest.mark.slow
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(doc=config_docs())
-def test_any_config_runs_or_exits_2(tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert_runs_or_exits_2(["eval", "--policy", "sffm", "--episodes", "1",
-                            "--config", str(path)])
+@given(doc=config_docs(), command=st.sampled_from(sorted(_POLICY_ARGS)))
+def test_any_config_runs_or_exits_2(tmp_path_factory, doc, command):
+    tmp = tmp_path_factory.mktemp("cfg")
+    (tmp / "cfg.json").write_text(json.dumps(doc))
+    assert_runs_or_exits_2([command, *_POLICY_ARGS[command], "--episodes", "1",
+                            "--config", str(tmp / "cfg.json"),
+                            "--out", str(tmp / "out")])
 
 
 # the train keys that size a run, from ranges that keep each example quick
@@ -369,7 +399,8 @@ def test_any_train_config_runs_or_exits_2(tmp_path_factory, doc):
 
 # settings that drove the trained parameters non-finite (huge CEM noise, a
 # tiny PPO log-std, a huge step size, a negative GAE lambda), that train
-# nothing (a zero step size, no epochs), a negative noise and a negative seed
+# nothing (a zero step size, no epochs), a negative noise and a negative seed,
+# and CEM draws too large to allocate (a huge population, a huge network)
 BAD_TRAIN_CONFIGS = {
     "cem-huge-init-noise": {"warm_start": False, "init_noise": 1e200},
     "cem-huge-noise-decay": {"noise_decay": 1e300},
@@ -379,7 +410,9 @@ BAD_TRAIN_CONFIGS = {
     "ppo-zero-step-size": {"algo": "ppo", "step_size": 0.0},
     "negative-init-noise": {"init_noise": -1.0},
     "no-epochs": {"algo": "ppo", "epochs": -1},
-    "negative-master-seed": {"master_seed": -1}}
+    "negative-master-seed": {"master_seed": -1},
+    "cem-oversized-population": {"population": 100000000, "warm_start": False},
+    "cem-oversized-network": {"hidden_sizes": [4096, 4096]}}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_TRAIN_CONFIGS))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import point_field
+from conftest import batch_actions, point_field, stub_env
 from ssbl.config import ConfigError, config_hash, default_config
 from ssbl.forces import estimate_ospace
 from ssbl.geometry import AgentState, ProxemicsConfig, Role, Vec2, WorldConfig
@@ -24,7 +24,7 @@ def random_params(layer_sizes, seed=0, scale=0.6):
 
 def policy_forward(params, obs):
     """One observation through NetworkPolicy's batched forward."""
-    return NetworkPolicy(params).act(obs[None], None)[0]
+    return batch_actions(NetworkPolicy(params), obs[None])[0]
 
 
 def reference_forward(params, obs):
@@ -74,7 +74,7 @@ def test_forward_matches_loop_reimplementation():
                                  obs * OBS_SCALE)
         np.testing.assert_allclose(fast, trainer, atol=1e-12, rtol=0.0)
         batch = np.vstack([rng.uniform(-5.0, 5.0, (3, sizes[0])), obs])
-        batched = NetworkPolicy(params).act(batch, None)
+        batched = batch_actions(NetworkPolicy(params), batch)
         assert np.array_equal(fast, batched[3])
 
 
@@ -182,8 +182,8 @@ def test_random_policy_is_seeded_per_episode():
 def test_random_policy_outputs_in_range():
     pol = RandomPolicy()
     pol.begin_episode([[0, 0]])
-    for _ in range(100):
-        (a_fwd, a_turn), = pol.act(None, None)
+    for t in range(100):
+        (a_fwd, a_turn), = pol.act(None, stub_env(1, t))
         assert -1.0 <= a_fwd <= 1.0
         assert -1.0 <= a_turn <= 1.0
 

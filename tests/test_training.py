@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import batch_actions
 from ssbl import training
 from ssbl.config import default_config
 from ssbl.policies import (OBS_SCALE, SffmPolicy, param_count, save_checkpoint,
@@ -238,8 +239,7 @@ def test_behaviour_policy_does_not_see_later_updates_of_the_trainer():
     obs = rng.normal(0.0, 3.0, (4, 22))
 
     def actions(policy):
-        policy.begin_episode(range(4))
-        return policy.act(obs, None).tobytes()
+        return batch_actions(policy, obs).tobytes()
 
     def behaviour():
         return _GaussianPolicy(flat, sizes, log_std, [[9, k] for k in range(4)])
