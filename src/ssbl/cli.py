@@ -2,9 +2,9 @@
 
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
-(a negative --seed, an oversized group or CEM draw, an unplaceable spawn, a
-run driven to a non-finite state and a NaN or infinity bound for an output
-included).
+(a negative --seed, an oversized group, CEM draw or PPO run, an unplaceable
+spawn, a run driven to a non-finite state and a NaN or infinity bound for an
+output included).
 Every command steps all its episodes of one policy as one batch in this
 process.
 """

@@ -1,5 +1,6 @@
 """Configuration: episode/termination settings, training hyperparameters,
-the aggregate config object, JSON round-tripping and hashing.
+the aggregate config object and every key's admissible range, JSON
+round-tripping and hashing.
 
 A config file is a JSON object with sections `world`, `proxemics`, `spawn`,
 `reward_weights`, `episode`, `train` and optionally `sha_controller`.
@@ -14,10 +15,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .geometry import ProxemicsConfig, WorldConfig
 from .groups import GroupSpawnSpec, ShaGains
-from .rewards import MAX_WEIGHT, RewardWeights
+from .rewards import RewardWeights
 
 
 class ConfigError(ValueError):
@@ -34,16 +36,6 @@ class EpisodeConfig:
     success_hold: int = 10               # consecutive steps before success
     weights: RewardWeights = field(default_factory=RewardWeights)
     spawn: GroupSpawnSpec = field(default_factory=GroupSpawnSpec)
-
-    def validate(self) -> None:
-        if not (self.max_steps > self.success_hold > 0):
-            raise ValueError(
-                f"need max_steps > success_hold > 0, got "
-                f"{self.max_steps}, {self.success_hold}"
-            )
-        if self.success_band <= 0.0 or self.success_angle <= 0.0:
-            raise ValueError("success_band and success_angle must be positive")
-        self.weights.validate()
 
 
 @dataclass(slots=True)
@@ -75,36 +67,6 @@ class TrainConfig:
     rollout_episodes: int = 8
     log_std_init: float = -1.0
 
-    def validate(self) -> None:
-        if self.algo not in ("cem", "ppo"):
-            raise ValueError(f"algo must be 'cem' or 'ppo', got {self.algo!r}")
-        if not (0.0 < self.elite_fraction < 1.0):
-            raise ValueError("elite_fraction must lie in (0, 1)")
-        if self.clip_ratio <= 0.0:
-            raise ValueError("clip_ratio must be positive")
-        if not (0.0 < self.discount <= 1.0):
-            raise ValueError("discount must lie in (0, 1]")
-        if self.population < 2 or self.episodes_per_eval < 1:
-            raise ValueError("population >= 2 and episodes_per_eval >= 1 required")
-        for name in ("iterations", "master_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name, low, high in (("init_noise", 0.0, MAX_WEIGHT),
-                                ("noise_decay", 0.0, 1.0),
-                                ("gae_lambda", 0.0, 1.0),
-                                ("log_std_init", -20.0, 20.0)):
-            if not low <= getattr(self, name) <= high:
-                raise ValueError(f"{name} must lie in [{low:g}, {high:g}], "
-                                 f"got {getattr(self, name)}")
-        if not 0.0 < self.step_size <= 1.0:
-            raise ValueError(f"step_size must lie in (0, 1], got {self.step_size}")
-        for name in ("eval_episodes", "rollout_episodes", "minibatch", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(
-                f"hidden_sizes entries must be at least 1, got {list(self.hidden_sizes)}")
-
 
 @dataclass(slots=True)
 class FullConfig:
@@ -115,15 +77,43 @@ class FullConfig:
     sha_gains: ShaGains = field(default_factory=ShaGains)
 
     def validate(self) -> "FullConfig":
-        try:
-            self.world.validate()
-            self.proxemics.validate()
-            self.episode.validate()
-            self.train.validate()
-            self.sha_gains.validate()
-            self.episode.spawn.validate(self.world, self.proxemics)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        """ConfigError for the first number outside its range in BOUNDS, else
+        for the first cross-field rule broken."""
+        for name, bounds in BOUNDS.items():
+            obj = _SECTIONS[name][0](self)
+            for key, bound in bounds.items():
+                value = getattr(obj, key)
+                if not all(map(bound.admits,
+                               value if isinstance(value, tuple) else (value,))):
+                    raise ConfigError(f"{name}.{key} must lie in {bound}, got {value}")
+        p, e, t = self.proxemics, self.episode, self.train
+        s, half = e.spawn, self.world.floor_side / 2.0
+        rows = t.rollout_episodes * e.max_steps   # the most an iteration gathers
+        for holds, key, need, got in (
+                (p.d_personal < p.d_social < p.d_public, "proxemics.d_social",
+                 f"must lie in (d_personal, d_public) = ({p.d_personal}, "
+                 f"{p.d_public})", p.d_social),
+                (p.s_min < p.d_public, "proxemics.s_min",
+                 f"must lie below d_public = {p.d_public}", p.s_min),
+                (s.robot_min_dist > p.d_social, "spawn.robot_min_dist",
+                 f"must exceed proxemics.d_social = {p.d_social}", s.robot_min_dist),
+                (s.center_region + s.separation / 2.0 < half,
+                 "spawn.center_region + separation / 2",
+                 f"must lie below world.floor_side / 2 = {half}",
+                 s.center_region + s.separation / 2.0),
+                (e.max_steps > e.success_hold, "episode.max_steps",
+                 f"must exceed success_hold = {e.success_hold}", e.max_steps),
+                (t.algo in ("cem", "ppo"), "train.algo", "must be 'cem' or 'ppo'",
+                 repr(t.algo)),
+                (e.weights.sign_r1 in (1.0, -1.0), "reward_weights.sign_r1",
+                 "must be 1 or -1", e.weights.sign_r1),
+                (s.rng_seed == 0, "spawn.rng_seed", "must be 0 (episodes are "
+                 "seeded from --seed and train.master_seed)", s.rng_seed),
+                (t.algo != "ppo" or t.minibatch <= rows, "train.minibatch",
+                 f"must lie in [1, rollout_episodes * max_steps = {rows}] for PPO",
+                 t.minibatch)):
+            if not holds:
+                raise ConfigError(f"{key} {need}, got {got}")
         return self
 
 
@@ -142,6 +132,64 @@ _SECTIONS = {
     "episode": (lambda c: c.episode, _EPISODE_KEYS),
     "train": (lambda c: c.train, None),
     "sha_controller": (lambda c: c.sha_gains, None),
+}
+
+
+class Bound(NamedTuple):
+    """The interval `ends[0]low, high ends[1]`, "(" or ")" marking an open
+    end; with `no_minus_zero`, -0.0 counts as below 0."""
+
+    low: float
+    high: float = math.inf
+    ends: str = "[]"
+    no_minus_zero: bool = False
+
+    def admits(self, v) -> bool:
+        return ((v > self.low if self.ends[0] == "(" else v >= self.low)
+                and (v < self.high if self.ends[1] == ")" else v <= self.high)
+                and not (self.no_minus_zero and math.copysign(1.0, v) < 0.0))
+
+    def __str__(self) -> str:
+        text = f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+        return text + ", not -0.0" if self.no_minus_zero else text
+
+
+# Largest accepted weight, gain, speed and floor side (the defaults are at most
+# 10): the largest reward product, w_e * w4 * success_bonus, is then at most
+# 1e18, far from overflow; larger sizes overflowed the state or the returns.
+MAX_WEIGHT = 1e6
+MAX_SHAS = 64   # largest group: 20 episodes of 64 SHAs take seconds to evaluate
+
+_WEIGHT = Bound(0.0, MAX_WEIGHT)
+_SIZE = Bound(0.0, MAX_WEIGHT, "(]")
+_FRACTION = Bound(0.0, 1.0, "(]")
+_POSITIVE = Bound(0.0, ends="()")
+_COUNT = Bound(1, ends="[)")
+
+# section -> key -> the interval a number (or each entry of a list) must lie in;
+# the numeric keys left out are bounded by the rules of FullConfig.validate
+BOUNDS = {
+    "world": {"floor_side": _SIZE, "dt": _FRACTION, "v_max": _SIZE,
+              "a_max": _SIZE, "omega_max": _SIZE, "damping": _FRACTION},
+    "proxemics": {"d_personal": _POSITIVE, "s_min": _POSITIVE},
+    "spawn": {"n_shas": Bound(2, MAX_SHAS),
+              "separation": Bound(0.0, ends="[)", no_minus_zero=True),
+              "center_region": Bound(0.0, ends="[)", no_minus_zero=True)},
+    "reward_weights": {**dict.fromkeys(("w_e", "w_a", "w1", "w2", "w3", "w4", "w5"),
+                                       _WEIGHT),
+                       "success_bonus": Bound(-MAX_WEIGHT, MAX_WEIGHT)},
+    "episode": {"success_band": _POSITIVE, "success_angle": _POSITIVE,
+                "success_hold": _COUNT},
+    "train": {"master_seed": Bound(0, ends="[)"), "hidden_sizes": _COUNT,
+              "episodes_per_eval": _COUNT, "eval_episodes": _COUNT,
+              "iterations": Bound(0, ends="[)"), "population": Bound(2, ends="[)"),
+              "elite_fraction": Bound(0.0, 1.0, "()"), "init_noise": _WEIGHT,
+              "noise_decay": Bound(0.0, 1.0), "clip_ratio": _POSITIVE,
+              "discount": _FRACTION, "gae_lambda": Bound(0.0, 1.0), "epochs": _COUNT,
+              "minibatch": _COUNT, "step_size": _FRACTION, "rollout_episodes": _COUNT,
+              "log_std_init": Bound(-20.0, 20.0)},
+    "sha_controller": dict.fromkeys(("gain_f", "k_turn", "f_dead", "w_de", "w_dc"),
+                                    _WEIGHT),
 }
 
 

@@ -93,11 +93,11 @@ class ApproachEnv:
     the others; the SHA commands and the baseline robot read it."""
 
     def __init__(self, world: WorldConfig, prox: ProxemicsConfig,
-                 episode: EpisodeConfig, sha_gains: ShaGains | None = None):
+                 episode: EpisodeConfig, sha_gains: ShaGains):
         self.world = world
         self.prox = prox
         self.episode = episode
-        self.sha_gains = sha_gains if sha_gains is not None else ShaGains()
+        self.sha_gains = sha_gains
         self.done = np.ones(0, dtype=bool)
 
     # -- episode control ---------------------------------------------------

@@ -141,7 +141,7 @@ def ospace_of(members: np.ndarray, s_min: float) -> tuple[np.ndarray, np.ndarray
     return center, np.maximum(s_min, radius)
 
 
-def estimate_ospace(members: list[AgentState], s_min: float = 0.5) -> OSpace:
+def estimate_ospace(members: list[AgentState], s_min: float) -> OSpace:
     """`ospace_of` for a list of agents. Needs at least two members."""
     if len(members) < 2:
         raise ValueError(f"o-space needs at least 2 members, got {len(members)}")

@@ -16,8 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rewards import MAX_WEIGHT
-
 TWO_PI = 2.0 * math.pi
 
 # Below this norm a direction is undefined and every direction-dependent
@@ -109,16 +107,6 @@ class ProxemicsConfig:
     d_public: float = 7.6
     s_min: float = 0.5
 
-    def validate(self) -> None:
-        if not (0.0 < self.d_personal < self.d_social < self.d_public):
-            raise ValueError(
-                f"proxemics radii must satisfy 0 < personal < social < public, "
-                f"got ({self.d_personal}, {self.d_social}, {self.d_public})"
-            )
-        if not 0.0 < self.s_min < self.d_public:
-            raise ValueError(f"s_min must lie in (0, d_public = {self.d_public}), "
-                             f"got {self.s_min}")
-
 
 @dataclass(slots=True)
 class WorldConfig:
@@ -130,15 +118,6 @@ class WorldConfig:
     a_max: float = 1.0
     omega_max: float = math.pi / 2.0
     damping: float = 0.95
-
-    def validate(self) -> None:
-        # a longer tick or larger sizes overflowed the state or the returns
-        for name, high in (("floor_side", MAX_WEIGHT), ("dt", 1.0),
-                           ("v_max", MAX_WEIGHT), ("a_max", MAX_WEIGHT),
-                           ("omega_max", MAX_WEIGHT), ("damping", 1.0)):
-            if not 0.0 < getattr(self, name) <= high:
-                raise ValueError(f"{name} must lie in (0, {high:g}], "
-                                 f"got {getattr(self, name)}")
 
 
 def advance(pos: np.ndarray, vel: np.ndarray, heading: np.ndarray,

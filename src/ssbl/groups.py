@@ -8,15 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import EPS_DIR, ProxemicsConfig, WorldConfig, wrap_angle
-from .rewards import MAX_WEIGHT
+from .geometry import EPS_DIR, WorldConfig, wrap_angle
 
 
 class SpawnError(RuntimeError):
     """Spawn constraints could not be satisfied."""
-
-
-MAX_SHAS = 64   # largest group: 20 episodes of 64 SHAs take seconds to evaluate
 
 
 @dataclass(slots=True)
@@ -29,25 +25,6 @@ class GroupSpawnSpec:
     robot_min_dist: float = 4.0    # minimum robot distance from the group centroid
     rng_seed: int = 0
 
-    def validate(self, world: WorldConfig, prox: ProxemicsConfig) -> None:
-        if not 2 <= self.n_shas <= MAX_SHAS:
-            raise ValueError(f"n_shas must lie in [2, {MAX_SHAS}], got {self.n_shas}")
-        if self.robot_min_dist <= prox.d_social:
-            raise ValueError(
-                f"robot_min_dist ({self.robot_min_dist}) must exceed "
-                f"d_social ({prox.d_social})"
-            )
-        for name in ("separation", "center_region"):
-            if math.copysign(1.0, getattr(self, name)) < 0.0:  # -0.0 included
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.rng_seed != 0:
-            raise ValueError(
-                f"spawn.rng_seed must be 0, got {self.rng_seed}: episodes are "
-                "seeded from --seed and train.master_seed")
-        half = world.floor_side / 2.0
-        if self.center_region + self.separation / 2.0 >= half:
-            raise ValueError("group spawn region does not fit inside the floor")
-
 
 @dataclass(slots=True)
 class ShaGains:
@@ -58,15 +35,6 @@ class ShaGains:
     f_dead: float = 0.05   # force deadband; below it the agent holds position
     w_de: float = 0.5      # orientation blend weight for the social direction
     w_dc: float = 0.5      # orientation blend weight for the public direction
-
-    def validate(self) -> None:
-        """Refuse a negative gain or weight, which steers SHAs away from the
-        field, and any above MAX_WEIGHT."""
-        for name in ("gain_f", "k_turn", "f_dead", "w_de", "w_dc"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= MAX_WEIGHT:
-                raise ValueError(f"sha_controller {name} must lie in "
-                                 f"[0, {MAX_WEIGHT:g}], got {v}")
 
 
 DEFAULT_GAINS = ShaGains()

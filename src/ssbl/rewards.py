@@ -22,10 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-# Largest accepted weight and |success_bonus| (the defaults are at most 10): the
-# largest product, w_e * w4 * success_bonus, is then at most 1e18, far from overflow.
-MAX_WEIGHT = 1e6
-
 
 @dataclass(slots=True)
 class RewardWeights:
@@ -44,16 +40,6 @@ class RewardWeights:
     w5: float = 0.5
     success_bonus: float = 10.0
     sign_r1: float = 1.0
-
-    def validate(self) -> None:
-        for name in ("w_e", "w_a", "w1", "w2", "w3", "w4", "w5", "success_bonus"):
-            v = getattr(self, name)
-            low = -MAX_WEIGHT if name == "success_bonus" else 0.0
-            if not low <= v <= MAX_WEIGHT:
-                raise ValueError(f"reward weight {name} must lie in "
-                                 f"[{low:g}, {MAX_WEIGHT:g}], got {v}")
-        if self.sign_r1 not in (1.0, -1.0):
-            raise ValueError(f"sign_r1 must be +1 or -1, got {self.sign_r1}")
 
 
 @dataclass(slots=True)
@@ -85,7 +71,7 @@ def time_penalty_increment(dt: float) -> float:
     return -dt
 
 
-def success_bonus(success, bonus: float = 10.0):
+def success_bonus(success, bonus: float):
     return np.where(success, bonus, 0.0)
 
 

@@ -47,17 +47,23 @@ def make_env(cfg: FullConfig) -> ApproachEnv:
     return ApproachEnv(cfg.world, cfg.proxemics, cfg.episode, cfg.sha_gains)
 
 
-# Largest CEM draw, population × parameters (368 k at the default config).
+# Largest CEM draw, population × parameters (368 k at the default config), and
+# largest PPO policy net (5 762 parameters at the default config).
 MAX_CEM_DRAW = 2 ** 24
 
 
 def check_run_size(cfg: TrainConfig, full_cfg: FullConfig) -> None:
-    """ConfigError for a CEM run that would draw more than MAX_CEM_DRAW values."""
+    """ConfigError for a CEM run that would draw more than MAX_CEM_DRAW values,
+    or a PPO run whose policy net has more parameters than that."""
     n_obs = observation_length(full_cfg.episode.spawn.n_shas)
-    size = cfg.population * param_count((n_obs, *cfg.hidden_sizes, 2))
-    if cfg.algo == "cem" and size > MAX_CEM_DRAW:
+    n_params = param_count((n_obs, *cfg.hidden_sizes, 2))
+    if cfg.algo == "cem" and cfg.population * n_params > MAX_CEM_DRAW:
         raise ConfigError(f"train.population times the network's parameters is "
-                          f"{size} values per CEM draw, above {MAX_CEM_DRAW}")
+                          f"{cfg.population * n_params} values per CEM draw, "
+                          f"above {MAX_CEM_DRAW}")
+    if cfg.algo == "ppo" and n_params > MAX_CEM_DRAW:
+        raise ConfigError(f"train.hidden_sizes give the PPO policy net {n_params} "
+                          f"parameters, above {MAX_CEM_DRAW}")
 
 
 # -- rollouts and evaluation --------------------------------------------------

@@ -180,7 +180,12 @@ def test_c05_spatial_feature_suite():
 
 def test_c06_dyad_stability_100_seeds():
     """The dyads of seeds 0-99 (each spawn's SHAs, without the robot) step
-    200 ticks as one batch of 100 lanes, every lane from its own entries."""
+    200 ticks as one batch of 100 lanes, every lane from its own entries.
+    This detects a change that moves a dyad spawned in the band out of it or
+    keeps it moving; it cannot detect a band the field fails to pull dyads
+    into. For two members the equality and cohesion forces vanish, and the
+    deadband stops repulsion at d_personal - sqrt(f_dead) (0.976 m), so every
+    separation from there to d_public is at rest."""
     cfg = default_config().validate()
     world, prox = cfg.world, cfg.proxemics
     pos, heading = (np.stack(x)[:, 1:] for x in zip(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import as_arrays, episode_records, lane_agents
-from ssbl.config import EpisodeConfig, default_config
+from ssbl.config import ConfigError, config_from_dict, default_config
 from ssbl.env import (ApproachEnv, EpisodeDoneError, encode_observation,
                       observation_length, success_instant)
 from ssbl.forces import OSpace, estimate_ospace, field_at, neighbours_of
@@ -67,7 +67,7 @@ def test_reset_respects_min_robot_distance():
     env.reset(range(20))
     for lane in range(20):
         agents = lane_agents(env, lane)
-        centroid = estimate_ospace(agents[1:]).center
+        centroid = estimate_ospace(agents[1:], env.prox.s_min).center
         assert (agents[0].position - centroid).norm() >= env.episode.spawn.robot_min_dist
 
 
@@ -317,8 +317,8 @@ def test_r2_bounded_and_r3_exact_over_episode():
 
 
 def test_episode_config_validation():
-    with pytest.raises(ValueError):
-        EpisodeConfig(max_steps=5, success_hold=10).validate()
-    with pytest.raises(ValueError):
-        EpisodeConfig(success_band=0.0).validate()
-    EpisodeConfig().validate()
+    with pytest.raises(ConfigError):
+        config_from_dict({"episode": {"max_steps": 5, "success_hold": 10}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"episode": {"success_band": 0.0}})
+    config_from_dict({"episode": {}})

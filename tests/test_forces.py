@@ -379,7 +379,7 @@ def test_combined_isolated_agent_is_zero():
 
 def test_combined_stable_dyad_member():
     a, b = sha(0, 0.0, 0.0), sha(1, 2.0, 0.0)
-    ospace = estimate_ospace([a, b])
+    ospace = estimate_ospace([a, b], PROX.s_min)
     bd = combined_force(a.position, [b], PROX, ospace)
     assert bd.repulsion == Vec2(0.0, 0.0)
     assert bd.equality.norm() < 1e-12
@@ -403,7 +403,7 @@ def test_force_equivariance_under_rigid_motion():
     for _ in range(30):
         subject = sha(0, *rng.uniform(2.0, 8.0, 2))
         others = [sha(i + 1, *rng.uniform(2.0, 8.0, 2)) for i in range(3)]
-        ospace = estimate_ospace(others)
+        ospace = estimate_ospace(others, PROX.s_min)
         bd = combined_force(subject.position, others, PROX, ospace)
 
         ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -427,7 +427,7 @@ def test_force_equivariance_under_rigid_motion():
 
 
 def test_ospace_two_members():
-    o = estimate_ospace([sha(0, 0, 0), sha(1, 2, 0)])
+    o = estimate_ospace([sha(0, 0, 0), sha(1, 2, 0)], PROX.s_min)
     assert o.center == Vec2(1.0, 0.0)
     assert o.radius == 1.0
 
@@ -436,7 +436,7 @@ def test_ospace_equilateral_triangle():
     side = 2.0
     pts = [(0.0, 0.0), (side, 0.0), (side / 2.0, side * math.sqrt(3) / 2.0)]
     members = [sha(i, x, y) for i, (x, y) in enumerate(pts)]
-    o = estimate_ospace(members)
+    o = estimate_ospace(members, PROX.s_min)
     # brute-force mean distance to the centroid
     cx = sum(x for x, _ in pts) / 3.0
     cy = sum(y for _, y in pts) / 3.0
@@ -448,7 +448,7 @@ def test_ospace_equilateral_triangle():
 
 def test_ospace_single_member_errors():
     with pytest.raises(ValueError):
-        estimate_ospace([sha(0, 0, 0)])
+        estimate_ospace([sha(0, 0, 0)], PROX.s_min)
 
 
 def test_ospace_radius_floor():

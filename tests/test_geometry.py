@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ssbl.config import ConfigError, config_from_dict
 from ssbl.geometry import (AgentState, Role, SimulationFault, Vec2,
                            WorldConfig, advance, wall_distances, wrap_angle)
 
@@ -136,8 +137,8 @@ def test_wall_distances_clamps_outside_points():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        WorldConfig(dt=0.0).validate()
-    with pytest.raises(ValueError):
-        WorldConfig(damping=1.5).validate()
-    WorldConfig().validate()
+    with pytest.raises(ConfigError):
+        config_from_dict({"world": {"dt": 0.0}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"world": {"damping": 1.5}})
+    config_from_dict({"world": {}})

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import agents_of, point_field, run_group, step_group_once
+from ssbl.config import ConfigError, config_from_dict
 from ssbl.forces import combined_force, estimate_ospace
 from ssbl.geometry import AgentState, Role, Vec2, WorldConfig
 from ssbl.groups import (DEFAULT_GAINS, GroupSpawnSpec, SpawnError,
@@ -126,10 +127,10 @@ def test_spawn_shas_face_each_other(world):
         assert abs(facing - me.heading) < 1e-9
 
 
-def test_spawn_robot_distance_constraint(world):
+def test_spawn_robot_distance_constraint(world, prox):
     for seed in range(50):
         agents = agents_of(*spawn_episode(GroupSpawnSpec(), world, seed))
-        centroid = estimate_ospace(agents[1:]).center
+        centroid = estimate_ospace(agents[1:], prox.s_min).center
         d = (agents[0].position - centroid).norm()
         assert d >= GroupSpawnSpec().robot_min_dist
         for a in agents:
@@ -165,25 +166,25 @@ def test_spawn_error_when_robot_cannot_fit():
         spawn_episode(spec, tiny, 0)
 
 
-def test_spawn_spec_validation(world, prox):
-    with pytest.raises(ValueError):
-        GroupSpawnSpec(n_shas=1).validate(world, prox)
-    with pytest.raises(ValueError):
-        GroupSpawnSpec(robot_min_dist=2.0).validate(world, prox)
-    with pytest.raises(ValueError):
-        GroupSpawnSpec(center_region=4.5).validate(world, prox)
-    with pytest.raises(ValueError, match="center_region"):
-        GroupSpawnSpec(center_region=-0.0).validate(world, prox)
+def test_spawn_spec_validation():
+    with pytest.raises(ConfigError):
+        config_from_dict({"spawn": {"n_shas": 1}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"spawn": {"robot_min_dist": 2.0}})
+    with pytest.raises(ConfigError):
+        config_from_dict({"spawn": {"center_region": 4.5}})
+    with pytest.raises(ConfigError, match="center_region"):
+        config_from_dict({"spawn": {"center_region": -0.0}})
     for separation in (-2.0, -0.0):
-        with pytest.raises(ValueError, match="separation"):
-            GroupSpawnSpec(separation=separation).validate(world, prox)
-    GroupSpawnSpec().validate(world, prox)
+        with pytest.raises(ConfigError, match="separation"):
+            config_from_dict({"spawn": {"separation": separation}})
+    config_from_dict({"spawn": {}})
 
 
-def test_spawn_three_shas_regular_polygon(world):
+def test_spawn_three_shas_regular_polygon(world, prox):
     agents = agents_of(*spawn_episode(GroupSpawnSpec(n_shas=3, separation=2.0),
                                      world, 3))
     assert len(agents) == 4
-    centroid = estimate_ospace(agents[1:]).center
+    centroid = estimate_ospace(agents[1:], prox.s_min).center
     for a in agents[1:]:
         assert abs((a.position - centroid).norm() - 1.0) < 1e-9

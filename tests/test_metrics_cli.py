@@ -178,7 +178,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, doc):
 def test_train_negative_iters_exits_2(tmp_path, capsys):
     rc = main(["train", "--iters", "-3", "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "iterations must be >= 0" in capsys.readouterr().err
+    assert "train.iterations must lie in [0, inf), got -3" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -284,7 +284,7 @@ def test_oversized_group_exits_2_and_writes_nothing(tmp_path, capsys, command):
     rc = main([command, *_POLICY_ARGS[command], "--config", str(cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "error: n_shas must lie in [2, 64]" in capsys.readouterr().err
+    assert "error: spawn.n_shas must lie in [2, 64]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -381,7 +381,8 @@ def train_docs(draw):
     and one or two `train` keys set to a value of their type."""
     train = {"algo": draw(st.sampled_from(["cem", "ppo"])),
              "warm_start": draw(st.booleans()), "population": 2,
-             "eval_episodes": 1, "rollout_episodes": 1, "hidden_sizes": [4]}
+             "eval_episodes": 1, "rollout_episodes": 1, "minibatch": 20,
+             "hidden_sizes": [4]}
     for key, default in draw(st.lists(st.sampled_from(_TRAIN_KEYS), min_size=1,
                                       max_size=2, unique_by=lambda k: k[0])):
         train[key] = draw(_TRAIN_SIZE_KEYS.get(key, _values_like(key, default)))
@@ -400,7 +401,8 @@ def test_any_train_config_runs_or_exits_2(tmp_path_factory, doc):
 # settings that drove the trained parameters non-finite (huge CEM noise, a
 # tiny PPO log-std, a huge step size, a negative GAE lambda), that train
 # nothing (a zero step size, no epochs), a negative noise and a negative seed,
-# and CEM draws too large to allocate (a huge population, a huge network)
+# and runs too large to allocate (a huge CEM population or network, a huge PPO
+# minibatch or network)
 BAD_TRAIN_CONFIGS = {
     "cem-huge-init-noise": {"warm_start": False, "init_noise": 1e200},
     "cem-huge-noise-decay": {"noise_decay": 1e300},
@@ -412,7 +414,9 @@ BAD_TRAIN_CONFIGS = {
     "no-epochs": {"algo": "ppo", "epochs": -1},
     "negative-master-seed": {"master_seed": -1},
     "cem-oversized-population": {"population": 100000000, "warm_start": False},
-    "cem-oversized-network": {"hidden_sizes": [4096, 4096]}}
+    "cem-oversized-network": {"hidden_sizes": [4096, 4096]},
+    "ppo-oversized-minibatch": {"algo": "ppo", "minibatch": 10**12},
+    "ppo-oversized-network": {"algo": "ppo", "hidden_sizes": [100000, 100000]}}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_TRAIN_CONFIGS))
@@ -448,7 +452,7 @@ def test_train_with_overflowing_reward_exits_2_and_writes_nothing(tmp_path, caps
     rc = main(["train", "--algo", "cem", "--iters", "1", "--config", str(cfg),
                "--out", str(tmp_path / "run")])
     assert rc == 2
-    assert "error: reward weight w4 must lie in" in capsys.readouterr().err
+    assert "error: reward_weights.w4 must lie in [0, 1e+06]" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

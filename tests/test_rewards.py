@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ssbl.config import MAX_WEIGHT, ConfigError, config_from_dict
 from ssbl.geometry import Vec2
-from ssbl.rewards import (MAX_WEIGHT, RewardBreakdown, RewardWeights,
+from ssbl.rewards import (RewardBreakdown, RewardWeights,
                           group_forming_increment, non_increasing_increment,
                           sha_disturbance_increment, success_bonus,
                           time_penalty_increment, total_reward)
@@ -144,22 +145,26 @@ def test_breakdown_recompute_is_bit_exact():
         assert total_reward(b, w) == b.total
 
 
+def weights(**values):
+    return config_from_dict({"reward_weights": values})
+
+
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        RewardWeights(w2=-0.1).validate()
-    with pytest.raises(ValueError):
-        RewardWeights(sign_r1=0.5).validate()
-    RewardWeights().validate()
-    RewardWeights(sign_r1=-1.0).validate()
+    with pytest.raises(ConfigError):
+        weights(w2=-0.1)
+    with pytest.raises(ConfigError):
+        weights(sign_r1=0.5)
+    weights()
+    weights(sign_r1=-1.0)
 
 
 @pytest.mark.parametrize("name", ["w_e", "w_a", "w1", "w2", "w3", "w4", "w5",
                                   "success_bonus"])
 def test_weights_above_the_bound_are_refused(name):
-    RewardWeights(**{name: MAX_WEIGHT}).validate()
-    with pytest.raises(ValueError, match=name):
-        RewardWeights(**{name: 2.0 * MAX_WEIGHT}).validate()
+    weights(**{name: MAX_WEIGHT})
+    with pytest.raises(ConfigError, match=name):
+        weights(**{name: 2.0 * MAX_WEIGHT})
     if name == "success_bonus":
-        RewardWeights(success_bonus=-MAX_WEIGHT).validate()
-        with pytest.raises(ValueError, match=name):
-            RewardWeights(success_bonus=-2.0 * MAX_WEIGHT).validate()
+        weights(success_bonus=-MAX_WEIGHT)
+        with pytest.raises(ConfigError, match=name):
+            weights(success_bonus=-2.0 * MAX_WEIGHT)
