@@ -4,9 +4,6 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import ssbl
 from conftest import episode_records
 from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
@@ -180,51 +176,6 @@ def test_train_negative_iters_exits_2(tmp_path, capsys):
     assert rc == 2
     assert "train.iterations must lie in [0, inf), got -3" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-
-
-def _run_outputs(tmp_path: Path, blas_threads: int) -> dict[str, bytes]:
-    """One CEM and one PPO iteration and a simulate of the CEM checkpoint,
-    each a fresh process at `blas_threads` BLAS threads: every written file,
-    the reports without their wall clock."""
-    pythonpath = [str(Path(ssbl.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads),
-           "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
-    cfg = default_config()
-    cfg.episode.max_steps = 60
-    cfg.train.population = 4
-    cfg.train.eval_episodes = 2
-    cfg.train.rollout_episodes = 4
-    out = tmp_path / f"threads{blas_threads}"
-    out.mkdir()
-    save_config(cfg, out / "cfg.json")
-    commands = [["train", "--algo", algo, "--iters", "1", "--seed", "0",
-                 "--out", algo] for algo in ("cem", "ppo")]
-    commands.append(["simulate", "--policy", "cem/checkpoint.json",
-                     "--episodes", "2", "--out", "sim"])
-    for args in commands:    # paths relative to `out`, so the files can match
-        subprocess.run([sys.executable, "-m", "ssbl.cli", *args,
-                        "--config", "cfg.json"],
-                       cwd=out, env=env, check=True, capture_output=True)
-    files = {}
-    for path in sorted(out.rglob("*")):
-        if path.is_file():
-            data = path.read_bytes()
-            if path.name == "report.json":
-                report = json.loads(data)
-                del report["wall_clock_s"]
-                data = json.dumps(report, sort_keys=True).encode()
-            files[str(path.relative_to(out))] = data
-    return files
-
-
-@pytest.mark.slow
-def test_outputs_do_not_depend_on_blas_threads(tmp_path):
-    one, two = _run_outputs(tmp_path, 1), _run_outputs(tmp_path, 2)
-    assert sorted(one) == sorted(two)
-    assert {"cem/checkpoint.json", "ppo/checkpoint.json", "cem/report.json",
-            "ppo/report.json", "sim/episode_001.jsonl"} <= set(one)
-    for name in one:
-        assert one[name] == two[name], name
 
 
 _POLICY_ARGS = {"simulate": ["--policy", "random"],
