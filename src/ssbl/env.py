@@ -1,6 +1,10 @@
 """Episodic environment: a batch of episodes stepped in lockstep, egocentric
 vector observations, success detection and termination.
 
+`reset` and `step` return no observations: `observe()` encodes those of the
+held lanes when a policy asks for them, so a policy that reads none (the
+field-following baseline, the random one) costs no encoding.
+
 The state is held as arrays with one lane per episode (positions and
 velocities (B, N, 2), headings (B, N); the robot is agent 0), and every lane
 is computed from its own entries alone, so an episode steps to the same
@@ -16,8 +20,6 @@ episodes still running. Every held lane is therefore at the same tick, and
 `t` is one int for the batch: 0 after `reset`, the ticks stepped since."""
 
 from __future__ import annotations
-
-from dataclasses import fields
 
 import numpy as np
 
@@ -51,18 +53,25 @@ def encode_observation(pos: np.ndarray, vel: np.ndarray, heading: np.ndarray,
     velocities rotated into the same frame; per-agent angles are headings
     relative to the robot's.
     """
+    b, n = heading.shape
+    out = np.empty((b, observation_length(n - 1)))
+    blocks = out[:, :AGENT_BLOCK * n].reshape(b, n, AGENT_BLOCK)
     h0 = heading[:, :1]
-    c = np.cos(-h0)
-    s = np.sin(-h0)
-    rx = pos[..., 0] - pos[:, :1, 0]
-    ry = pos[..., 1] - pos[:, :1, 1]
-    vx, vy = vel[..., 0], vel[..., 1]
+    c = np.cos(-h0)[..., None]
+    s = np.sin(-h0)[..., None]
+    # x and y of the position relative to the robot and of the velocity,
+    # (B, N, 2) each, rotated together into blocks 0, 2 and 1, 3
+    rel = np.empty((b, n, 4))
+    np.subtract(pos, pos[:, :1], out=rel[..., :2])
+    rel[..., 2:] = vel
+    x, y = rel[..., ::2], rel[..., 1::2]
+    np.subtract(c * x, s * y, out=blocks[..., 0:4:2])
+    np.add(s * x, c * y, out=blocks[..., 1:4:2])
     rel_h = wrap_angle(heading - h0)
-    blocks = np.stack([c * rx - s * ry, s * rx + c * ry,
-                       c * vx - s * vy, s * vx + c * vy,
-                       np.cos(rel_h), np.sin(rel_h)], axis=-1)
-    return np.concatenate([blocks.reshape(len(pos), -1),
-                           wall_distances(pos[:, 0], world)], axis=1)
+    np.cos(rel_h, out=blocks[..., 4])
+    np.sin(rel_h, out=blocks[..., 5])
+    out[:, AGENT_BLOCK * n:] = wall_distances(pos[:, 0], world)
+    return out
 
 
 def success_instant(pos: np.ndarray, heading: np.ndarray, center: np.ndarray,
@@ -78,7 +87,7 @@ def success_instant(pos: np.ndarray, heading: np.ndarray, center: np.ndarray,
 
 def _take(f: ForceBreakdown, index) -> ForceBreakdown:
     """Every array of a field indexed along its leading axis."""
-    return ForceBreakdown(*(getattr(f, k.name)[index] for k in fields(f)))
+    return ForceBreakdown(*(getattr(f, k)[index] for k in ForceBreakdown.__slots__))
 
 
 def derive_episode_seed(seed) -> int:
@@ -102,10 +111,10 @@ class ApproachEnv:
 
     # -- episode control ---------------------------------------------------
 
-    def reset(self, seeds) -> np.ndarray:
+    def reset(self, seeds) -> None:
         """Spawn one episode per entry of `seeds` (each an int or a sequence
         of ints, collapsed by `derive_episode_seed`) straight into the lane
-        arrays, every agent at rest; returns their observations (B, L)."""
+        arrays, every agent at rest."""
         pos, heading = zip(*(spawn_episode(self.episode.spawn, self.world,
                                            derive_episode_seed(s))
                              for s in seeds))
@@ -120,9 +129,9 @@ class ApproachEnv:
         self.success = np.zeros(b, dtype=bool)
         self.field = field_at(self.pos, neighbours_of(self.pos), self.prox,
                               self.center, self.radius)
-        return self.observe()
 
     def observe(self) -> np.ndarray:
+        """The observations (B, L) of the held lanes, encoded on each call."""
         return encode_observation(self.pos, self.vel, self.heading, self.world)
 
     def keep(self, mask: np.ndarray) -> None:
@@ -133,10 +142,10 @@ class ApproachEnv:
         self.field = _take(self.field, mask)
 
     def step(self, actions: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, RewardBreakdown]:
+             ) -> tuple[np.ndarray, np.ndarray, RewardBreakdown]:
         """Advance every held lane under robot actions (B, 2) = [a_fwd,
-        a_turn], clamped to [-1, 1]. Returns observations (B, L), reward
-        totals (B,), the done mask and the reward breakdown."""
+        a_turn], clamped to [-1, 1]. Returns the reward totals (B,), the done
+        mask and the reward breakdown."""
         if not self.done.size or self.done.any():
             raise EpisodeDoneError("step() called on finished or never-reset "
                                    "episodes; call reset() or keep() the running ones")
@@ -158,19 +167,33 @@ class ApproachEnv:
             f.combined[:, 1:], f.d_e[:, 1:], f.d_c[:, 1:], heading[:, 1:],
             world, self.sha_gains)
 
-        # (2) integrate everyone; (3) the o-space follows the group
+        # (2) integrate everyone; (3) the o-space follows the group. Index 0
+        # of `center` and `radius` is the pre-tick o-space, 1 the new one.
         new_pos, new_vel, new_heading = advance(pos, vel, heading, accel, turn, world)
-        center, radius = ospace_of(new_pos[:, 1:], self.prox.s_min)
+        center = np.empty((2, *self.center.shape))
+        radius = np.empty((2, *self.radius.shape))
+        center[0], radius[0] = self.center, self.radius
+        center[1], radius[1] = ospace_of(new_pos[:, 1:], self.prox.s_min)
 
-        # (4) one field evaluation for the tick: at the midpoints of every
-        # agent's step against the pre-tick agents and o-space, for the work
-        # along the robot's step (r1) and along each SHA's (r5), and at the
-        # new positions against the new agents, the field the next tick reads
-        both = field_at(np.stack([(pos + new_pos) * 0.5, new_pos]),
-                        neighbours_of(np.stack([pos, new_pos])), self.prox,
-                        np.stack([self.center, center]),
-                        np.stack([self.radius, radius]))
-        work = group_forming_increment(lambda mid: both.combined[0], pos, new_pos)
+        # (4) one field evaluation for the tick, at the midpoints that
+        # `group_forming_increment` hands over against the pre-tick agents
+        # and o-space, for the work along the robot's step (r1) and along
+        # each SHA's (r5), and at the new positions against the new agents
+        # and o-space, the field the next tick reads. `at` holds the
+        # pre-tick, new and midpoint positions: the agents of the two
+        # evaluations are at[:2], their points at[2:0:-1].
+        at = np.empty((3, *pos.shape))
+        at[0], at[1] = pos, new_pos
+        neighbours = neighbours_of(at[:2])
+        both = None
+
+        def field_at_midpoints(mid: np.ndarray) -> np.ndarray:
+            nonlocal both
+            at[2] = mid
+            both = field_at(at[2:0:-1], neighbours, self.prox, center, radius)
+            return both.combined[0]
+
+        work = group_forming_increment(field_at_midpoints, pos, new_pos)
         r1 = weights.sign_r1 * work[:, 0]
         r2 = non_increasing_increment(r1 / dt, dt)
         r3 = np.full(len(r1), time_penalty_increment(dt))
@@ -178,11 +201,11 @@ class ApproachEnv:
 
         # (5) success and termination
         self.pos, self.vel, self.heading = new_pos, new_vel, new_heading
-        self.center, self.radius = center, radius
+        self.center, self.radius = center[1], radius[1]
         self.field = _take(both, 1)
         self.t += 1
-        on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], center,
-                                  radius, self.episode.success_band,
+        on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], center[1],
+                                  radius[1], self.episode.success_band,
                                   self.episode.success_angle)
         self.hold = np.where(on_ring, self.hold + 1, 0)
         self.success = self.hold >= self.episode.success_hold
@@ -191,4 +214,4 @@ class ApproachEnv:
         r4 = success_bonus(self.success, weights.success_bonus)
         breakdown = RewardBreakdown(r1, r2, r3, r4, r5)
         breakdown.total = total_reward(breakdown, weights)
-        return self.observe(), breakdown.total, self.done, breakdown
+        return breakdown.total, self.done, breakdown

@@ -79,8 +79,11 @@ def _others(n: int) -> np.ndarray:
 
 def neighbours_of(agents: np.ndarray) -> np.ndarray:
     """For agents (..., N, 2), the other agents of each, as `field_at` takes
-    them: (N - 1, ..., N, 2)."""
-    return np.moveaxis(agents[..., _others(agents.shape[-2]), :], -3, 0)
+    them: (N - 1, ..., N, 2), gathered neighbour-first."""
+    *lead, n, _ = agents.shape
+    rows = agents.reshape(-1, n, 2)
+    return rows[np.arange(len(rows))[:, None], _others(n)[:, None]].reshape(
+        n - 1, *lead, n, 2)
 
 
 def _total(x: np.ndarray, start: float = 0.0) -> np.ndarray:
@@ -101,11 +104,13 @@ def field_at(points: np.ndarray, neighbours: np.ndarray,
     its own point, neighbours and o-space alone."""
     off = neighbours - points                              # (K, ..., M, 2)
     d = _norm(off)
-    personal, social, public = (d <= r for r in (
-        prox.d_personal, prox.d_social, prox.d_public))
+    # the personal, social and public masks stacked on axis 1: (K, 3, ..., M, 1)
+    zones = d[:, None] <= np.reshape(
+        (prox.d_personal, prox.d_social, prox.d_public), (3,) + (1,) * (d.ndim - 1))
+    personal, social, public = zones[:, 0], zones[:, 1], zones[:, 2]
+    push, d_e, d_c = _total(np.where(zones, off[:, None], 0.0))
     k1 = _total(social, 1.0)                               # N_social + 1
 
-    push = _total(np.where(personal, off, 0.0))
     n = _norm(push)
     ok = n > EPS_DIR
     d_min = functools.reduce(np.minimum, np.where(personal, d, prox.d_personal),
@@ -113,7 +118,6 @@ def field_at(points: np.ndarray, neighbours: np.ndarray,
     f_r = np.where(ok, -(prox.d_personal - d_min) ** 2 * (push / np.where(ok, n, 1.0)),
                    0.0)
 
-    d_e = _total(np.where(social, off, 0.0))
     e = d_e / k1                                           # centroid - p
     dist = _norm(e)
     m = (dist + _total(np.where(social, _norm(e - off), 0.0))) / k1
@@ -127,7 +131,6 @@ def field_at(points: np.ndarray, neighbours: np.ndarray,
     r = np.asarray(radius)[..., None, None]
     f_c = np.where(ok, alpha * (1.0 - r / np.where(ok, dist, 1.0)) * q, 0.0)
 
-    d_c = _total(np.where(public, off, 0.0))
     return ForceBreakdown(f_r, f_e, f_c, d_e, d_c, f_r + f_e + f_c)
 
 

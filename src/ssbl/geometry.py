@@ -140,34 +140,29 @@ def advance(pos: np.ndarray, vel: np.ndarray, heading: np.ndarray,
         raise ValueError(f"|turn_rate|={np.abs(turn_rate).max()} exceeds "
                          f"omega_max={world.omega_max}")
 
-    d = world.damping
     dt = world.dt
-    vx = d * (vel[..., 0] + accel[..., 0] * dt)
-    vy = d * (vel[..., 1] + accel[..., 1] * dt)
-    speed = np.hypot(vx, vy)
+    v = vel + accel * dt
+    v *= world.damping
+    speed = np.hypot(v[..., 0], v[..., 1])
     # renormalize at most a few times so rounding can never leave speed above
     # cap; the factor is exactly 1 for agents already within it
     for _ in range(4):
         if not (speed > world.v_max).any():
             break
-        f = world.v_max / np.maximum(speed, world.v_max)
-        vx = vx * f
-        vy = vy * f
-        speed = np.hypot(vx, vy)
+        v *= (world.v_max / np.maximum(speed, world.v_max))[..., None]
+        speed = np.hypot(v[..., 0], v[..., 1])
 
     side = world.floor_side
-    px = pos[..., 0] + vx * dt
-    py = pos[..., 1] + vy * dt
-    vx = np.where(((px < 0.0) & (vx < 0.0)) | ((px > side) & (vx > 0.0)), 0.0, vx)
-    vy = np.where(((py < 0.0) & (vy < 0.0)) | ((py > side) & (vy > 0.0)), 0.0, vy)
-    return (np.stack([np.clip(px, 0.0, side), np.clip(py, 0.0, side)], axis=-1),
-            np.stack([vx, vy], axis=-1), wrap_angle(heading + turn_rate * dt))
+    p = pos + v * dt
+    np.copyto(v, 0.0, where=((p < 0.0) & (v < 0.0)) | ((p > side) & (v > 0.0)))
+    return np.clip(p, 0.0, side, out=p), v, wrap_angle(heading + turn_rate * dt)
 
 
 def wall_distances(p: np.ndarray, world: WorldConfig) -> np.ndarray:
     """Distances (left, right, bottom, top) from points (..., 2) to the four
     walls, as (..., 4). Points outside the floor are clamped onto it first."""
     side = world.floor_side
-    x = np.clip(p[..., 0], 0.0, side)
-    y = np.clip(p[..., 1], 0.0, side)
-    return np.stack([x, side - x, y, side - y], axis=-1)
+    out = np.empty((*p.shape[:-1], 4))
+    np.clip(p, 0.0, side, out=out[..., ::2])
+    np.subtract(side, out[..., ::2], out=out[..., 1::2])
+    return out

@@ -40,12 +40,16 @@ class ShaGains:
 DEFAULT_GAINS = ShaGains()
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """v (..., 2) over its norm, or (0, 0) where the norm is at or below
-    EPS_DIR."""
+def _unit(v: np.ndarray, weight: float) -> np.ndarray:
+    """weight times v (..., 2) over its norm, or (0, 0) where the norm is at
+    or below EPS_DIR; a new array."""
     n = np.hypot(v[..., 0], v[..., 1])[..., None]
     ok = n > EPS_DIR
-    return np.where(ok, v / np.where(ok, n, 1.0), 0.0)
+    np.copyto(n, 1.0, where=~ok)
+    u = np.divide(v, n)
+    np.copyto(u, 0.0, where=~ok)
+    u *= weight
+    return u
 
 
 def field_turn(d_e: np.ndarray, d_c: np.ndarray, heading: np.ndarray,
@@ -53,11 +57,14 @@ def field_turn(d_e: np.ndarray, d_c: np.ndarray, heading: np.ndarray,
     """Turn commands toward the blend of the normalized social and public
     orientation vectors (..., 2), clipped to [-limit, limit]; 0 (hold
     heading) where the blend vanishes."""
-    blend = gains.w_de * _unit(d_e) + gains.w_dc * _unit(d_c)
+    blend = _unit(d_e, gains.w_de)
+    blend += _unit(d_c, gains.w_dc)
     bx, by = blend[..., 0], blend[..., 1]
-    err = wrap_angle(np.arctan2(by, bx) - heading)
-    return np.where(np.hypot(bx, by) > EPS_DIR,
-                    np.clip(gains.k_turn * err, -limit, limit), 0.0)
+    turn = wrap_angle(np.arctan2(by, bx) - heading)
+    turn *= gains.k_turn
+    np.clip(turn, -limit, limit, out=turn)
+    np.copyto(turn, 0.0, where=~(np.hypot(bx, by) > EPS_DIR))
+    return turn
 
 
 def sha_commands(force: np.ndarray, d_e: np.ndarray, d_c: np.ndarray,
@@ -69,12 +76,14 @@ def sha_commands(force: np.ndarray, d_e: np.ndarray, d_c: np.ndarray,
     Acceleration follows the combined force (deadbanded, clipped to a_max);
     the turn rate is `field_turn` clipped to omega_max.
     """
-    f_norm = np.hypot(force[..., 0], force[..., 1])[..., None]
     accel = gains.gain_f * force
-    a_norm = np.hypot(accel[..., 0], accel[..., 1])[..., None]
+    scale = np.hypot(accel[..., 0], accel[..., 1])[..., None]
     # the factor is exactly 1 where the acceleration is within a_max
-    accel = accel * (world.a_max / np.maximum(a_norm, world.a_max))
-    accel = np.where(f_norm < gains.f_dead, 0.0, accel)
+    np.maximum(scale, world.a_max, out=scale)
+    np.divide(world.a_max, scale, out=scale)
+    accel *= scale
+    np.copyto(accel, 0.0,
+              where=np.hypot(force[..., 0], force[..., 1])[..., None] < gains.f_dead)
     return accel, field_turn(d_e, d_c, heading, gains, world.omega_max)
 
 

@@ -6,8 +6,11 @@ forward passes run in float64 on upcast weights. `run_layers` is the one
 tanh MLP: policies run it through `einsum`, whose rows do not depend on the
 batch around them; the trainers through faster BLAS matmul, whose rows do.
 A policy's `begin_episode(seeds)` starts one episode per seed, and
-`act(obs, env)` maps observations (B, L) to actions (B, 2) for the lanes
-`env.lane` names, at the batch's tick `env.t`.
+`act(env)` gives the actions (B, 2) of the lanes `env.lane` names, at the
+batch's tick `env.t`. A policy reads what it needs from the env: the network
+its observations (B, L) through `env.observe()`, the baseline the field at
+the robot; the random policy reads neither. So an observation is encoded
+only for a policy that reads one.
 """
 
 from __future__ import annotations
@@ -206,10 +209,10 @@ class NetworkPolicy:
                             self._population[0][0].shape[-1]))
         self._placed = lane.size
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+    def act(self, env: ApproachEnv) -> np.ndarray:
         if env.lane.size != self._placed:
             self._place(env.lane)
-        self._x[self._net, self._slot] = obs
+        self._x[self._net, self._slot] = env.observe()
         out, _ = run_layers(self._layers, self._x * OBS_SCALE,
                             subscripts="poi,pbi->pbo")
         return out[self._net, self._slot]
@@ -222,7 +225,7 @@ class SffmPolicy:
     def begin_episode(self, seeds) -> None:
         pass
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+    def act(self, env: ApproachEnv) -> np.ndarray:
         f = env.field
         return sffm_baseline_policy(env.heading[:, 0], f.combined[:, 0],
                                     f.d_e[:, 0], f.d_c[:, 0])
@@ -267,7 +270,7 @@ class RandomPolicy:
         self._noise.begin_episode([[RANDOM_POLICY_STREAM] + [int(v) for v in m]
                                    for m in material])
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+    def act(self, env: ApproachEnv) -> np.ndarray:
         return self._noise.next(env.lane, env.t)
 
 

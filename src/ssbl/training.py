@@ -110,7 +110,7 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
     episodes only; `env.lane` says which seeds those are, for the policy
     and for scattering the results back by seed index."""
     seeds = list(seeds)
-    obs = env.reset(seeds)
+    env.reset(seeds)
     policy.begin_episode(seeds)
     n = len(seeds)
     ret = np.zeros(n)
@@ -119,8 +119,8 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
     states = [(env.lane, env.pos, env.vel, env.heading)]
     ticks = []
     while True:
-        action = policy.act(obs, env)
-        obs, reward, done, bd = env.step(action)
+        action = policy.act(env)
+        reward, done, bd = env.step(action)
         lane = env.lane
         ret[lane] += reward
         if record:
@@ -132,7 +132,6 @@ def rollout(env: ApproachEnv, policy, seeds, record: bool = False
             if done.all():
                 break
             env.keep(~done)
-            obs = obs[~done]
     tracks = [None] * n
     if record:
         tracks = [dict(zip(STATES + STEPS, s + a)) for s, a in
@@ -573,9 +572,9 @@ class _GaussianPolicy(NetworkPolicy):
         super().begin_episode(seeds)
         self._noise.begin_episode(self._noise_seeds)
 
-    def act(self, obs: np.ndarray, env: ApproachEnv) -> np.ndarray:
+    def act(self, env: ApproachEnv) -> np.ndarray:
         noise = self._noise.next(env.lane, env.t)
-        return super().act(obs, env) + self._std * noise
+        return super().act(env) + self._std * noise
 
 
 def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, TrainReport]:

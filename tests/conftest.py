@@ -79,17 +79,18 @@ def run_group(agents, prox, world, steps, gains=DEFAULT_GAINS):
     return traj
 
 
-def stub_env(n, t=0):
+def stub_env(n, t=0, obs=None):
     """What a policy's `act` reads of an ApproachEnv besides its state: the
-    lanes, every lane of a whole batch of n, and the tick t."""
-    return SimpleNamespace(lane=np.arange(n), t=t)
+    lanes, every lane of a whole batch of n, the tick t, and `observe()`,
+    which returns obs (n, L)."""
+    return SimpleNamespace(lane=np.arange(n), t=t, observe=lambda: obs)
 
 
 def batch_actions(policy, obs):
     """A policy's actions at tick 0 for the rows of obs (B, L), each a lane
     of a whole batch of B episodes begun with seeds 0 .. B - 1."""
     policy.begin_episode(range(len(obs)))
-    return policy.act(obs, stub_env(len(obs)))
+    return policy.act(stub_env(len(obs), obs=obs))
 
 
 def episode_records(track, success):

@@ -5,14 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import as_arrays, episode_records, lane_agents
+from conftest import as_arrays, episode_records, lane_agents, point_field
 from ssbl.config import ConfigError, config_from_dict, default_config
 from ssbl.env import (ApproachEnv, EpisodeDoneError, encode_observation,
                       observation_length, success_instant)
 from ssbl.forces import OSpace, estimate_ospace, field_at, neighbours_of
 from ssbl.geometry import (AgentState, Role, Vec2, WorldConfig, wrap_angle)
 from ssbl.groups import GroupSpawnSpec
-from ssbl.rewards import RewardWeights
+from ssbl.rewards import RewardWeights, group_forming_increment
 from ssbl.training import make_env, rollout
 from ssbl.policies import RandomPolicy, SffmPolicy
 
@@ -48,16 +48,19 @@ def isolated_env(weights=None) -> ApproachEnv:
 
 def test_reset_is_deterministic():
     env1, env2 = fresh_env(), fresh_env()
-    o1, o2 = env1.reset([123]), env2.reset([123])
+    env1.reset([123])
+    env2.reset([123])
+    o1, o2 = env1.observe(), env2.observe()
     assert np.array_equal(o1, o2)
     assert lane_agents(env1, 0) == lane_agents(env2, 0)
-    o3 = env1.reset([124])
-    assert not np.array_equal(o1, o3)
+    env1.reset([124])
+    assert not np.array_equal(o1, env1.observe())
 
 
 def test_observation_length_two_shas():
     env = fresh_env()
-    assert env.reset([0]).shape == (1, 22)
+    env.reset([0])
+    assert env.observe().shape == (1, 22)
     assert observation_length(2) == 22
     assert observation_length(3) == 28
 
@@ -79,7 +82,7 @@ def test_zero_action_isolated_robot_reward_formula():
     env = isolated_env(weights=w)
     env.reset([5])
     start = robot(env).position
-    _, r, _, bd = env.step(act(0.0, 0.0))
+    r, _, bd = env.step(act(0.0, 0.0))
     assert robot(env).position == start
     assert bd.r1[0] == 0.0 and bd.r5[0] == 0.0 and bd.r4[0] == 0.0
     assert r[0] == w.w_e * (w.w2 * 0.1 - w.w3 * 0.1)
@@ -94,7 +97,7 @@ def test_cumulative_reward_is_sum_of_step_totals():
     done = False
     while not done:
         a = act(*policy_rng.uniform(-1.0, 1.0, 2))
-        _, r, (done,), bd = env.step(a)
+        r, (done,), bd = env.step(a)
         total += r[0]
         history.append(bd.total[0])
     assert total == sum(history)
@@ -104,7 +107,7 @@ def test_episode_ends_by_max_steps():
     env = fresh_env(max_steps=40)
     env.reset([1])
     for t in range(40):
-        _, _, (done,), _ = env.step(act(0.0, 0.0))
+        _, (done,), _ = env.step(act(0.0, 0.0))
         assert done == (t == 39) or done  # done may come early only via success
     assert env.t == 40
     assert env.done[0]
@@ -115,22 +118,45 @@ def test_step_after_done_raises():
     env.reset([2])
     done = False
     while not done:
-        _, _, (done,), _ = env.step(act(0.0, 0.0))
+        _, (done,), _ = env.step(act(0.0, 0.0))
     with pytest.raises(EpisodeDoneError):
         env.step(act(0.0, 0.0))
 
 
 def test_step_on_a_batch_holding_a_finished_lane_raises():
     env = fresh_env()
-    obs = env.reset([[9, 0], [9, 1]])
+    env.reset([[9, 0], [9, 1]])
     policy = SffmPolicy()
     while not env.done.any():
-        obs, _, done, _ = env.step(policy.act(obs, env))
+        _, done, _ = env.step(policy.act(env))
     assert not done.all()
     with pytest.raises(EpisodeDoneError):
-        env.step(policy.act(obs, env))
+        env.step(policy.act(env))
     env.keep(~done)
-    env.step(policy.act(obs[~done], env))
+    env.step(policy.act(env))
+
+
+def test_r1_and_r5_are_the_field_work_at_the_handed_midpoints():
+    """r1 and r5 of a tick are `group_forming_increment` along each agent's
+    step, with the field taken at the midpoint the function hands over,
+    from the other agents before the tick and the o-space before it."""
+    env = fresh_env()
+    env.reset([[4, 0], [4, 1]])
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        before = [lane_agents(env, b) for b in range(2)]
+        ospaces = [OSpace(Vec2(*env.center[b].tolist()), float(env.radius[b]))
+                   for b in range(2)]
+        _, done, bd = env.step(rng.uniform(-1.0, 1.0, (2, 2)))
+        for b, (agents, ospace) in enumerate(zip(before, ospaces)):
+            work = [group_forming_increment(
+                lambda mid: point_field(mid, agents[:i] + agents[i + 1:], env.prox,
+                                        ospace).combined[0],
+                np.array(a.position), np.array(p.position))
+                for i, (a, p) in enumerate(zip(agents, lane_agents(env, b)))]
+            assert bd.r1[b] == env.episode.weights.sign_r1 * work[0]
+            assert bd.r5[b] == -np.sum(work[1:])
+        assert not done.any()
 
 
 def test_actions_clamped_on_entry():
@@ -188,7 +214,7 @@ def test_success_requires_consecutive_hold():
     steps = 0
     done = False
     while not done:
-        _, _, (done,), bd = env.step(act(0.0, 0.0))
+        _, (done,), bd = env.step(act(0.0, 0.0))
         steps += 1
     assert env.success[0]
     assert steps == 3
@@ -274,7 +300,7 @@ class ReplayPolicy:
     def begin_episode(self, seeds) -> None:
         self._next = iter(self.actions)
 
-    def act(self, obs, env):
+    def act(self, env):
         return np.array([next(self._next)])
 
 
@@ -307,7 +333,7 @@ def test_r2_bounded_and_r3_exact_over_episode():
     steps = 0
     done = False
     while not done:
-        _, _, (done,), bd = env.step(act(*rng.uniform(-1.0, 1.0, 2)))
+        _, (done,), bd = env.step(act(*rng.uniform(-1.0, 1.0, 2)))
         assert bd.r2[0] in (0.0, env.world.dt)
         r2_sum += bd.r2[0]
         r3_sum += bd.r3[0]

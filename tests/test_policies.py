@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ssbl.env
 from conftest import batch_actions, point_field, stub_env
 from ssbl.config import ConfigError, config_hash, default_config
 from ssbl.forces import estimate_ospace
@@ -179,11 +180,30 @@ def test_random_policy_is_seeded_per_episode():
     assert a.ret != c.ret
 
 
+@pytest.mark.parametrize("make, per_tick", [
+    (SffmPolicy, 0), (RandomPolicy, 0),
+    (lambda: NetworkPolicy(random_params((22, 8, 2))), 1)])
+def test_observations_are_encoded_only_for_a_policy_that_reads_them(
+        monkeypatch, make, per_tick):
+    """A rollout encodes the batch's observations once per tick for the
+    network and never for sffm or random."""
+    calls = []
+    encode = ssbl.env.encode_observation
+    monkeypatch.setattr(ssbl.env, "encode_observation",
+                        lambda *args: calls.append(len(args[0])) or encode(*args))
+    env = make_env(default_config().validate())
+    results = rollout(env, make(), [[2, i] for i in range(6)])
+    ticks = max(r.steps for r in results)
+    assert len(calls) == per_tick * ticks
+    # the held lanes of each tick, every one encoded once
+    assert sum(calls) == per_tick * sum(r.steps for r in results)
+
+
 def test_random_policy_outputs_in_range():
     pol = RandomPolicy()
     pol.begin_episode([[0, 0]])
     for t in range(100):
-        (a_fwd, a_turn), = pol.act(None, stub_env(1, t))
+        (a_fwd, a_turn), = pol.act(stub_env(1, t))
         assert -1.0 <= a_fwd <= 1.0
         assert -1.0 <= a_turn <= 1.0
 
