@@ -14,7 +14,7 @@ from .config import FullConfig, config_hash, dump_json
 from .forces import ospace_of
 from .geometry import ProxemicsConfig
 from .policies import RandomPolicy, SffmPolicy, make_policy
-from .trajlog import read_trajectory
+from .trajlog import TrajectoryFormatError, read_trajectory
 from .training import (evaluate_policy, make_env, mean_return,
                        relative_performance, rollout)
 
@@ -70,29 +70,33 @@ def _stats(pos: np.ndarray, totals: list[float], success: bool,
     }
 
 
+# the SocialMetrics fields whose per-episode stat has another name
+_STAT_OF = {"success_rate": "success", "mean_return": "return"}
+
+
 def aggregate_stats(stats: list[dict]) -> SocialMetrics:
+    """The mean of every per-episode stat over `stats` (`episode_stats`)."""
     if not stats:
         raise ValueError("no episodes to aggregate")
-
-    def mean(key):
-        return float(np.mean([s[key] for s in stats]))
-
-    return SocialMetrics(
-        success_rate=float(np.mean([1.0 if s["success"] else 0.0 for s in stats])),
-        mean_return=mean("return"),
-        time_to_join=mean("time_to_join"),
-        path_length=mean("path_length"),
-        personal_violation_steps=mean("personal_violation_steps"),
-        sha_total_displacement=mean("sha_total_displacement"),
-        final_formation_error=mean("final_formation_error"),
-    )
+    return SocialMetrics(**{
+        f.name: float(np.mean([s[_STAT_OF.get(f.name, f.name)] for s in stats]))
+        for f in dataclasses.fields(SocialMetrics)})
 
 
 def compute_metrics(paths: list[str | Path],
                     prox: ProxemicsConfig) -> SocialMetrics:
-    """Aggregate metrics over trajectory files written by `simulate`."""
-    return aggregate_stats([episode_stats(header["agents"], records, prox)
-                            for header, records in map(read_trajectory, paths)])
+    """Aggregate metrics over trajectory files written by `simulate`. A file
+    whose records do not hold the agents and rewards of one episode is a
+    TrajectoryFormatError naming it."""
+    stats = []
+    for path in paths:
+        header, records = read_trajectory(path)
+        try:
+            stats.append(episode_stats(header["agents"], records, prox))
+        except (KeyError, TypeError, ValueError) as e:
+            raise TrajectoryFormatError(
+                f"{path}: not the records of one episode: {e!r}") from e
+    return aggregate_stats(stats)
 
 
 def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
@@ -100,10 +104,6 @@ def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
     the same positions and rewards its trajectory files would hold."""
     return [_stats(res.track["pos"], res.track["total"].tolist(), res.success, prox)
             for res in rollout(env, policy, seeds, record=True)]
-
-
-def _mean_return(stats: list[dict]) -> float:
-    return float(np.mean([s["return"] for s in stats]))
 
 
 # -- paired comparison ---------------------------------------------------------
@@ -140,30 +140,24 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
         if spec not in evaluated:
             evaluated[spec] = live_stats(env, make_policy(spec, cfg), seeds, prox)
 
-    anchors = {}
-    for name, policy in (("sffm", SffmPolicy()), ("random", RandomPolicy())):
-        if name in evaluated:
-            anchors[name] = _mean_return(evaluated[name])
-        else:
-            anchors[name] = mean_return(evaluate_policy(env, policy, seeds))
-
-    stats_a = evaluated[policy_a]
-    stats_b = evaluated[policy_b]
-    rel = {spec: relative_performance(_mean_return(evaluated[spec]),
-                                      anchors["sffm"], anchors["random"])
-           for spec in (policy_a, policy_b)}
+    metrics = {spec: aggregate_stats(stats) for spec, stats in evaluated.items()}
+    anchors = {name: metrics[name].mean_return if name in metrics
+               else mean_return(evaluate_policy(env, policy, seeds))
+               for name, policy in (("sffm", SffmPolicy()), ("random", RandomPolicy()))}
+    rel = {spec: relative_performance(m.mean_return, anchors["sffm"], anchors["random"])
+           for spec, m in metrics.items()}
 
     deltas = [{"episode": i, "seed": seed,
                "return_a": sa["return"], "return_b": sb["return"],
                "delta_return": sb["return"] - sa["return"],
                "success_a": sa["success"], "success_b": sb["success"]}
-              for i, (seed, sa, sb) in enumerate(zip(seeds, stats_a, stats_b))]
+              for i, (seed, sa, sb) in enumerate(zip(seeds, evaluated[policy_a],
+                                                     evaluated[policy_b]))]
 
     report = CompareReport(
         policy_a=policy_a,
         policy_b=policy_b,
-        metrics={policy_a: aggregate_stats(stats_a).to_dict(),
-                 policy_b: aggregate_stats(stats_b).to_dict()},
+        metrics={spec: m.to_dict() for spec, m in metrics.items()},
         relative_percent=rel,
         paired_deltas=deltas,
         config_hash=config_hash(cfg),
@@ -173,17 +167,11 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
 
     dump_json(report.to_dict(), out_dir / "report.json")
 
-    csv_fields = ["episode", "policy", "return", "steps", "success",
-                  "time_to_join", "path_length", "personal_violation_steps",
-                  "sha_total_displacement", "final_formation_error"]
     with open(out_dir / "compare.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(csv_fields)
-        for name, stats in ((policy_a, stats_a), (policy_b, stats_b)):
-            for i, s in enumerate(stats):
-                writer.writerow([i, name, s["return"], s["steps"],
-                                 int(s["success"]), s["time_to_join"],
-                                 s["path_length"], s["personal_violation_steps"],
-                                 s["sha_total_displacement"],
-                                 s["final_formation_error"]])
+        writer = csv.DictWriter(fh, ["episode", "policy", *evaluated[policy_a][0]])
+        writer.writeheader()
+        for name in (policy_a, policy_b):
+            writer.writerows({"episode": i, "policy": name, **s,
+                              "success": int(s["success"])}
+                             for i, s in enumerate(evaluated[name]))
     return report

@@ -79,8 +79,8 @@ STEPS = ("action", *REWARD_KEYS)
 @dataclass(slots=True)
 class RolloutResult:
     """One episode of a rollout. A recorded one also keeps its `track`, one
-    array per STATES and STEPS name, from which its step table
-    (`trajlog.step_table`) and observations are cut when read."""
+    array per STATES and STEPS name, from which `trajlog.write_trajectory`
+    cuts its step records and `observations` its observations."""
 
     seed: object
     ret: float

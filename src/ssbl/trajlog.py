@@ -8,13 +8,14 @@ initial agent states; every following line is one step record:
    "done": bool, "success": bool}
 
 `training.rollout(..., record=True)` keeps each episode's per-tick state
-arrays, its track. `step_table` cuts the step records from it as one float
-table in file order, and `write_trajectory` fills one `%`-format template
-per row with the `tolist()` values: the keys stand in the template in record
-order and every float is written by `%r`, which is `float.__repr__`, the
-text `json` writes for it. So no dict is built per step, and `json` encodes
-only the header. Floats round-trip exactly through JSON, so anything
-recomputed from a parsed file matches the in-memory run bit for bit.
+arrays, its track. `write_trajectory` lays the track out as one float table
+in file order and fills `%`-format templates with the `tolist()` values:
+one per-agent template writes the header's initial agents and every step's
+agents, the keys stand in record order, and every float is written by `%r`,
+which is `float.__repr__`, the text `json` writes for it. So no dict is
+built, and `json` encodes only the config hash and the seed. Floats
+round-trip exactly through JSON, so anything recomputed from a parsed file
+matches the in-memory run bit for bit.
 """
 
 from __future__ import annotations
@@ -31,77 +32,43 @@ class TrajectoryFormatError(ValueError):
     """Malformed trajectory file; the message carries the line number."""
 
 
-_ROBOT, _SHA = "robot", "sha"  # the "role" of agent 0 and of the others
-
-
-def _agents(pos: list, vel: list, heading: list) -> list[dict]:
-    """Agent objects of one state, from its positions, velocities and
-    headings as lists, the robot first."""
-    return [{"id": i, "role": _SHA if i else _ROBOT,
-             "x": p[0], "y": p[1], "vx": v[0], "vy": v[1], "theta": h}
-            for i, (p, v, h) in enumerate(zip(pos, vel, heading))]
-
-
 REWARD_KEYS = ("r1", "r2", "r3", "r4", "r5", "total")
 
 
-def make_header(config_hash: str, seed, track: dict[str, np.ndarray]) -> dict:
-    """The header of an episode, with the initial agents of its track."""
-    if isinstance(seed, (list, tuple)):
-        seed = [int(s) for s in seed]
-    return {
-        "config_hash": config_hash,
-        "seed": seed,
-        "agents": _agents(*(track[k][0].tolist() for k in ("pos", "vel", "heading"))),
-    }
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def step_table(track: dict[str, np.ndarray]) -> np.ndarray:
-    """An episode's step records as a (T, 5N + 8) table in file order: per
-    tick, the post-step x, y, vx, vy and theta of every agent (from the
-    states after the initial one of the track's positions and velocities
-    (T + 1, N, 2) and headings (T + 1, N)), the action (T, 2), clamped as
-    the env applied it, and the reward components (T,)."""
-    agents = np.concatenate([track["pos"][1:], track["vel"][1:],
-                             track["heading"][1:, :, None]], axis=2)
-    return np.column_stack([agents.reshape(len(agents), -1),
-                            np.clip(track["action"], -1.0, 1.0),
-                            *(track[k] for k in REWARD_KEYS)])
-
-
-def _step_template(n_agents: int, done: bool, success: bool) -> str:
-    """The %-format of one step record: `t` then the 5N + 8 floats of a
-    step-table row. `%r` is `float.__repr__`, the text `json` writes for a
-    finite float, so a filled template is the encoder's line byte for byte."""
-    agents = ",".join(f'{{"id":{i},"role":"{_SHA if i else _ROBOT}",'
-                      '"x":%r,"y":%r,"vx":%r,"vy":%r,"theta":%r}'
-                      for i in range(n_agents))
-    reward = ",".join(f'"{k}":%r' for k in REWARD_KEYS)
-    return (f'{{"t":%d,"agents":[{agents}],"action":[%r,%r],"reward":{{{reward}}},'
-            f'"done":{json.dumps(done)},"success":{json.dumps(success)}}}\n')
-
-
-_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
-
-
-def write_trajectory(path: str | Path, header: dict, steps: np.ndarray,
-                     success: bool) -> None:
-    """Write the header and one step record per row of the step table
-    `steps` (`step_table`), one JSON object a line. The episode is done on
-    its last step, and successful there if `success`. A NaN or an infinity
-    is a ConfigError naming the file, and nothing is written."""
-    if not np.isfinite(steps).all():
+def write_trajectory(path: str | Path, config_hash: str, seed,
+                     track: dict[str, np.ndarray], success: bool) -> None:
+    """Write an episode's header and one step record per tick of its track
+    (`training.rollout`), one JSON object a line. The episode is done on its
+    last step, and successful there if `success`. A NaN or an infinity is a
+    ConfigError naming the file, and nothing is written."""
+    n_states, n_agents = track["heading"].shape
+    states = np.concatenate([track["pos"], track["vel"], track["heading"][..., None]],
+                            axis=2).reshape(n_states, 5 * n_agents)
+    steps = np.column_stack([states[1:], np.clip(track["action"], -1.0, 1.0),
+                             *(track[k] for k in REWARD_KEYS)])
+    if not (np.isfinite(states[0]).all() and np.isfinite(steps).all()):
         raise ConfigError(f"cannot write {path}: Out of range float values "
                           "are not JSON compliant")
-    try:
-        lines = [_ENCODER.encode(header) + "\n"]
-    except ValueError as e:
-        raise ConfigError(f"cannot write {path}: {e}") from e
-    n_agents = (steps.shape[1] - 2 - len(REWARD_KEYS)) // 5
-    step = _step_template(n_agents, False, False)
+    if isinstance(seed, (list, tuple)):
+        seed = [int(s) for s in seed]
+    # the agent objects of one state, filled with its row: x, y, vx, vy and
+    # theta per agent, the robot first
+    agents = ",".join(f'{{"id":{i},"role":"{"sha" if i else "robot"}",'
+                      '"x":%r,"y":%r,"vx":%r,"vy":%r,"theta":%r}'
+                      for i in range(n_agents))
+    # the hash and seed are joined to the filled template, never formatted
+    lines = [f'{{"config_hash":{_ENCODER.encode(config_hash)},'
+             f'"seed":{_ENCODER.encode(seed)},"agents":['
+             + agents % tuple(states[0].tolist()) + "]}\n"]
+    reward = ",".join(f'"{k}":%r' for k in REWARD_KEYS)
+    step = f'{{"t":%d,"agents":[{agents}],"action":[%r,%r],"reward":{{{reward}}},"done":'
+    running = step + 'false,"success":false}\n'
+    last = step + ('true,"success":true}\n' if success else 'true,"success":false}\n')
     rows = steps.tolist()
-    lines += [step % (t, *row) for t, row in enumerate(rows[:-1], start=1)]
-    last = _step_template(n_agents, True, bool(success))
+    lines += [running % (t, *row) for t, row in enumerate(rows[:-1], start=1)]
     lines.append(last % (len(rows), *rows[-1]))
     Path(path).write_text("".join(lines), encoding="utf-8")
 

@@ -1,6 +1,6 @@
 """Shared helpers for stepping SHA-only groups outside the full environment,
-through the same array code the environment steps with, and the step-record
-oracle that trajectory files are checked against."""
+through the same array code the environment steps with, and the header and
+step-record oracles that trajectory files are checked against."""
 
 from __future__ import annotations
 
@@ -93,6 +93,23 @@ def batch_actions(policy, obs):
     return policy.act(stub_env(len(obs), obs=obs))
 
 
+def _agent_dicts(pos, vel, heading):
+    """The agent objects of one state, from its positions, velocities and
+    headings as lists, the robot first."""
+    return [{"id": i, "role": "sha" if i else "robot",
+             "x": p[0], "y": p[1], "vx": v[0], "vy": v[1], "theta": h}
+            for i, (p, v, h) in enumerate(zip(pos, vel, heading))]
+
+
+def episode_header(config_hash, seed, track):
+    """The header of one episode as a dict: the config hash, the seed and the
+    initial agents of its track (`training.rollout`). `json.dumps` of it with
+    compact separators is the first line `trajlog.write_trajectory` writes."""
+    return {"config_hash": config_hash, "seed": seed,
+            "agents": _agent_dicts(*(track[k][0].tolist()
+                                     for k in ("pos", "vel", "heading")))}
+
+
 def episode_records(track, success):
     """The step records of one episode from its track (`training.rollout`),
     as dicts: each tick's post-step agents, from the states after the
@@ -106,9 +123,7 @@ def episode_records(track, success):
     actions = np.clip(track["action"], -1.0, 1.0).tolist()
     rewards = zip(*(track[k].tolist() for k in REWARD_KEYS))
     return [{"t": t + 1,
-             "agents": [{"id": i, "role": "sha" if i else "robot",
-                         "x": p[0], "y": p[1], "vx": v[0], "vy": v[1], "theta": h}
-                        for i, (p, v, h) in enumerate(zip(*state))],
+             "agents": _agent_dicts(*state),
              "action": action,
              "reward": dict(zip(REWARD_KEYS, reward)),
              "done": t == n_steps - 1,

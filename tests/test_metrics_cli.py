@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import episode_records
+from conftest import episode_header, episode_records
 from ssbl.cli import main
 from ssbl.config import (config_from_dict, config_to_dict, default_config,
                          load_config, save_config, config_hash, ConfigError)
@@ -21,8 +21,8 @@ from ssbl.metrics import (aggregate_stats, compute_metrics, episode_stats,
                           run_compare)
 from ssbl.policies import (load_checkpoint, param_count, save_checkpoint,
                            zero_params)
-from ssbl.trajlog import (TrajectoryFormatError, make_header, read_trajectory,
-                          step_table, write_trajectory)
+from ssbl.trajlog import (REWARD_KEYS, TrajectoryFormatError, read_trajectory,
+                          write_trajectory)
 
 
 def write_tiny_train_config(path: Path) -> Path:
@@ -510,6 +510,19 @@ def test_metrics_of_no_episodes_raise():
         compute_metrics([], ProxemicsConfig())
 
 
+def test_aggregate_stats_is_the_mean_of_each_stat():
+    stats = [{"return": -3.0, "steps": 10, "success": True, "time_to_join": 10,
+              "path_length": 2.0, "personal_violation_steps": 1,
+              "sha_total_displacement": 0.5, "final_formation_error": 0.25},
+             {"return": 1.0, "steps": 20, "success": False, "time_to_join": 20,
+              "path_length": 4.0, "personal_violation_steps": 4,
+              "sha_total_displacement": 1.5, "final_formation_error": 0.75}]
+    assert aggregate_stats(stats).to_dict() == {
+        "success_rate": 0.5, "mean_return": -1.0, "time_to_join": 15.0,
+        "path_length": 3.0, "personal_violation_steps": 2.5,
+        "sha_total_displacement": 1.0, "final_formation_error": 0.5}
+
+
 def test_malformed_trajectory_reports_line_number(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text('{"config_hash": "x", "seed": 0, "agents": []}\n'
@@ -528,14 +541,43 @@ def test_trajectory_missing_field_detected(tmp_path):
         read_trajectory(path)
 
 
-def test_refused_trajectory_leaves_no_file(tmp_path):
+def small_track():
+    """A track of 2 ticks and 3 agents, every value 0.5."""
+    return {"pos": np.full((3, 3, 2), 0.5), "vel": np.full((3, 3, 2), 0.5),
+            "heading": np.full((3, 3), 0.5), "action": np.full((2, 2), 0.5),
+            **{k: np.full(2, 0.5) for k in REWARD_KEYS}}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["header", "r1"])
+def test_refused_trajectory_leaves_no_file(tmp_path, value, where):
     path = tmp_path / "episode_000.jsonl"
-    steps = np.full((2, 5 * 3 + 8), 0.5)
-    steps[1, -6] = math.nan       # r1 of the second record
+    track = small_track()
+    if where == "header":
+        track["vel"][0, 2, 1] = value     # vy of the last agent's initial state
+    else:
+        track["r1"][1] = value            # r1 of the second record
     with pytest.raises(ConfigError, match="cannot write"):
-        write_trajectory(path, {"config_hash": "x", "seed": 0, "agents": []},
-                         steps, False)
+        write_trajectory(path, "x", 0, track, False)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("edit,cause", [
+    (lambda rec: rec["agents"].pop(), ValueError),    # fewer agents than the header
+    (lambda rec: rec["agents"][1].pop("x"), KeyError),
+    (lambda rec: rec["reward"].update(total="0.5"), TypeError),
+], ids=["fewer-agents", "agent-without-x", "string-total"])
+def test_malformed_records_are_format_errors_naming_the_file(tmp_path, edit, cause):
+    path = tmp_path / "episode_000.jsonl"
+    write_trajectory(path, "x", [0, 0], small_track(), False)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])       # the second step record
+    edit(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TrajectoryFormatError, match="episode_000.jsonl") as err:
+        compute_metrics([path], ProxemicsConfig())
+    assert type(err.value.__cause__) is cause
 
 
 # floats whose JSON text is easy to get wrong, and any other finite float
@@ -564,13 +606,13 @@ def tracks(draw):
        seed=st.one_of(st.integers(0, 2**64 - 1),
                       st.lists(st.integers(0, 2**32), max_size=3)))
 def test_template_lines_equal_json_of_the_records(tmp_path_factory, track, success, seed):
-    """write_trajectory's template writes, for every step record, the line
-    `json` writes for the oracle's record dict."""
+    """write_trajectory's templates write, for the header and every step
+    record, the line `json` writes for the oracle's dict."""
     path = tmp_path_factory.mktemp("tpl") / "episode_000.jsonl"
-    header = make_header("0123456789abcdef", seed, track)
-    write_trajectory(path, header, step_table(track), success)
+    write_trajectory(path, "0123456789abcdef", seed, track, success)
     dump = lambda doc: json.dumps(doc, separators=(",", ":"))
-    want = [dump(header)] + [dump(rec) for rec in episode_records(track, success)]
+    want = [dump(episode_header("0123456789abcdef", seed, track))]
+    want += [dump(rec) for rec in episode_records(track, success)]
     assert path.read_text(encoding="utf-8").splitlines() == want
 
 
