@@ -100,6 +100,44 @@ def test_default_config_hash_is_pinned():
     assert config_hash(default_config()) == "f0b054dc0a31579e"
 
 
+# every key off its default and inside its range, float keys as JSON floats;
+# spawn.rng_seed has only its default, 0
+NON_DEFAULT_DOC = {
+    "world": {"floor_side": 12.0, "dt": 0.05, "v_max": 1.25, "a_max": 0.75,
+              "omega_max": 1.25, "damping": 0.9},
+    "proxemics": {"d_personal": 1.0, "d_social": 3.0, "d_public": 7.0, "s_min": 0.75},
+    "spawn": {"n_shas": 3, "separation": 2.5, "center_region": 1.25,
+              "robot_min_dist": 4.5, "rng_seed": 0},
+    "reward_weights": {"w_e": 1.5, "w_a": 0.5, "w1": 2.0, "w2": 0.25, "w3": 0.125,
+                       "w4": 1.5, "w5": 0.75, "success_bonus": 5.0, "sign_r1": -1.0},
+    "episode": {"max_steps": 400, "success_band": 0.25, "success_angle": 0.5,
+                "success_hold": 8},
+    "train": {"algo": "ppo", "master_seed": 7, "hidden_sizes": [32, 16],
+              "episodes_per_eval": 3, "eval_episodes": 40, "iterations": 150,
+              "population": 48, "elite_fraction": 0.25, "warm_start": False,
+              "init_noise": 0.1, "noise_decay": 0.95, "clip_ratio": 0.3,
+              "discount": 0.98, "gae_lambda": 0.9, "epochs": 5, "minibatch": 32,
+              "step_size": 0.001, "rollout_episodes": 6, "log_std_init": -0.5},
+    "sha_controller": {"gain_f": 1.5, "k_turn": 2.5, "f_dead": 0.1, "w_de": 0.25,
+                       "w_dc": 0.75},
+}
+
+
+def test_non_default_config_round_trips_and_hash_is_pinned():
+    """Every key set off its default comes back in its own section with its
+    own JSON type, and the hash of the document is pinned, so a key that the
+    config object drops, moves or retypes changes one or the other."""
+    defaults = config_to_dict(default_config())
+    assert {(n, k) for n, s in NON_DEFAULT_DOC.items() for k in s} == {
+        (n, k) for n, s in defaults.items() for k in s}
+    assert [(n, k) for n, s in NON_DEFAULT_DOC.items() for k, v in s.items()
+            if v == defaults[n][k]] == [("spawn", "rng_seed")]
+    cfg = config_from_dict(NON_DEFAULT_DOC)
+    assert (json.dumps(config_to_dict(cfg), sort_keys=True)
+            == json.dumps(NON_DEFAULT_DOC, sort_keys=True))
+    assert config_hash(cfg) == "34c505c285c71c55"
+
+
 # -- simulate -----------------------------------------------------------------------
 
 
