@@ -84,7 +84,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg.train.master_seed = int(args.seed)
     cfg.validate()
-    check_run_size(cfg.train, cfg)
+    check_run_size(cfg)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -28,14 +28,12 @@ class ConfigError(ValueError):
 
 @dataclass(slots=True)
 class EpisodeConfig:
-    """Episode horizon, success criterion, and the reward/spawn settings."""
+    """Episode horizon and success criterion: the `episode` section."""
 
     max_steps: int = 500
     success_band: float = 0.3            # |distance-to-o  -  s| tolerance, m
     success_angle: float = math.pi / 6.0  # facing tolerance toward o, rad
     success_hold: int = 10               # consecutive steps before success
-    weights: RewardWeights = field(default_factory=RewardWeights)
-    spawn: GroupSpawnSpec = field(default_factory=GroupSpawnSpec)
 
 
 @dataclass(slots=True)
@@ -70,24 +68,28 @@ class TrainConfig:
 
 @dataclass(slots=True)
 class FullConfig:
+    """The whole configuration, shaped as the config file: one field per
+    section, named as the section, each holding that section's keys."""
+
     world: WorldConfig = field(default_factory=WorldConfig)
     proxemics: ProxemicsConfig = field(default_factory=ProxemicsConfig)
+    spawn: GroupSpawnSpec = field(default_factory=GroupSpawnSpec)
+    reward_weights: RewardWeights = field(default_factory=RewardWeights)
     episode: EpisodeConfig = field(default_factory=EpisodeConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    sha_gains: ShaGains = field(default_factory=ShaGains)
+    sha_controller: ShaGains = field(default_factory=ShaGains)
 
     def validate(self) -> "FullConfig":
         """ConfigError for the first number outside its range in BOUNDS, else
         for the first cross-field rule broken."""
         for name, bounds in BOUNDS.items():
-            obj = _SECTIONS[name][0](self)
             for key, bound in bounds.items():
-                value = getattr(obj, key)
+                value = getattr(getattr(self, name), key)
                 if not all(map(bound.admits,
                                value if isinstance(value, tuple) else (value,))):
                     raise ConfigError(f"{name}.{key} must lie in {bound}, got {value}")
-        p, e, t = self.proxemics, self.episode, self.train
-        s, half = e.spawn, self.world.floor_side / 2.0
+        p, s, e, t = self.proxemics, self.spawn, self.episode, self.train
+        half = self.world.floor_side / 2.0
         rows = t.rollout_episodes * e.max_steps   # the most an iteration gathers
         for holds, key, need, got in (
                 (p.d_personal < p.d_social < p.d_public, "proxemics.d_social",
@@ -105,8 +107,8 @@ class FullConfig:
                  f"must exceed success_hold = {e.success_hold}", e.max_steps),
                 (t.algo in ("cem", "ppo"), "train.algo", "must be 'cem' or 'ppo'",
                  repr(t.algo)),
-                (e.weights.sign_r1 in (1.0, -1.0), "reward_weights.sign_r1",
-                 "must be 1 or -1", e.weights.sign_r1),
+                (self.reward_weights.sign_r1 in (1.0, -1.0), "reward_weights.sign_r1",
+                 "must be 1 or -1", self.reward_weights.sign_r1),
                 (s.rng_seed == 0, "spawn.rng_seed", "must be 0 (episodes are "
                  "seeded from --seed and train.master_seed)", s.rng_seed),
                 (t.algo != "ppo" or t.minibatch <= rows, "train.minibatch",
@@ -119,20 +121,6 @@ class FullConfig:
 
 def default_config() -> FullConfig:
     return FullConfig()
-
-
-_EPISODE_KEYS = ("max_steps", "success_band", "success_angle", "success_hold")
-
-# section -> (the config object it sets, its settable keys; None for all fields)
-_SECTIONS = {
-    "world": (lambda c: c.world, None),
-    "proxemics": (lambda c: c.proxemics, None),
-    "spawn": (lambda c: c.episode.spawn, None),
-    "reward_weights": (lambda c: c.episode.weights, None),
-    "episode": (lambda c: c.episode, _EPISODE_KEYS),
-    "train": (lambda c: c.train, None),
-    "sha_controller": (lambda c: c.sha_gains, None),
-}
 
 
 class Bound(NamedTuple):
@@ -209,43 +197,35 @@ _FIELD_TYPES = {
 }
 
 
-def _keys(obj, keys) -> tuple[str, ...]:
-    """A section's keys: `keys`, or else every field of its object."""
-    return keys or tuple(f.name for f in dataclasses.fields(obj))
-
-
-def _apply(obj, section, name: str, keys) -> None:
+def _apply(obj, section, name: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
-    valid = _keys(obj, keys)
     for key, value in section.items():
-        if key not in valid:
+        if key not in obj.__dataclass_fields__:
             raise ConfigError(f"unknown key {key!r} in config section {name!r}")
         default = getattr(obj, key)
         expected, matches = _FIELD_TYPES[type(default)]
         if not matches(value):
             raise ConfigError(f"{name}.{key} must be {expected}, got {value!r}")
-        setattr(obj, key, tuple(value) if isinstance(default, tuple) else value)
+        try:   # an integer given for a float key is stored as a float
+            setattr(obj, key, type(default)(value))
+        except OverflowError:
+            raise ConfigError(f"{name}.{key} must be {expected}, got an integer "
+                              f"beyond float range") from None
 
 
 def config_from_dict(data: dict) -> FullConfig:
     cfg = FullConfig()
     for name, section in data.items():
-        if name not in _SECTIONS:
+        if name not in FullConfig.__dataclass_fields__:
             raise ConfigError(f"unknown config section {name!r}")
-        get, keys = _SECTIONS[name]
-        _apply(get(cfg), section, name, keys)
+        _apply(getattr(cfg, name), section, name)
     return cfg.validate()
 
 
 def config_to_dict(cfg: FullConfig) -> dict:
-    doc = {}
-    for name, (get, keys) in _SECTIONS.items():
-        obj = get(cfg)
-        values = {k: getattr(obj, k) for k in _keys(obj, keys)}
-        doc[name] = {k: list(v) if isinstance(v, tuple) else v
-                     for k, v in values.items()}
-    return doc
+    return {name: {k: list(v) if isinstance(v, tuple) else v for k, v in section.items()}
+            for name, section in dataclasses.asdict(cfg).items()}
 
 
 def load_config(path: str | Path) -> FullConfig:
@@ -254,7 +234,7 @@ def load_config(path: str | Path) -> FullConfig:
             data = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:   # bad JSON or UTF-8, or an integer json cannot convert
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a JSON object")

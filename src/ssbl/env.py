@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import EpisodeConfig
+from .config import FullConfig
 from .forces import ForceBreakdown, field_at, neighbours_of, ospace_of
-from .geometry import (ProxemicsConfig, WorldConfig, advance, wall_distances,
-                       wrap_angle)
-from .groups import ShaGains, sha_commands, spawn_episode
+from .geometry import WorldConfig, advance, wall_distances, wrap_angle
+from .groups import sha_commands, spawn_episode
 from .rewards import (RewardBreakdown, group_forming_increment,
                       non_increasing_increment, sha_disturbance_increment,
                       success_bonus, time_penalty_increment, total_reward)
@@ -97,16 +96,13 @@ def derive_episode_seed(seed) -> int:
 
 
 class ApproachEnv:
-    """Robot-joins-a-group environment around the conversation force field.
-    `field` holds the field at every agent of the current state, from all
-    the others; the SHA commands and the baseline robot read it."""
+    """Robot-joins-a-group environment around the conversation force field,
+    built from the whole configuration `cfg`, which it reads and never
+    changes. `field` holds the field at every agent of the current state,
+    from all the others; the SHA commands and the baseline robot read it."""
 
-    def __init__(self, world: WorldConfig, prox: ProxemicsConfig,
-                 episode: EpisodeConfig, sha_gains: ShaGains):
-        self.world = world
-        self.prox = prox
-        self.episode = episode
-        self.sha_gains = sha_gains
+    def __init__(self, cfg: FullConfig):
+        self.cfg = cfg
         self.done = np.ones(0, dtype=bool)
 
     # -- episode control ---------------------------------------------------
@@ -115,24 +111,24 @@ class ApproachEnv:
         """Spawn one episode per entry of `seeds` (each an int or a sequence
         of ints, collapsed by `derive_episode_seed`) straight into the lane
         arrays, every agent at rest."""
-        pos, heading = zip(*(spawn_episode(self.episode.spawn, self.world,
-                                           derive_episode_seed(s))
+        cfg = self.cfg
+        pos, heading = zip(*(spawn_episode(cfg.spawn, cfg.world, derive_episode_seed(s))
                              for s in seeds))
         self.pos, self.heading = np.stack(pos), np.stack(heading)
         self.vel = np.zeros_like(self.pos)
-        self.center, self.radius = ospace_of(self.pos[:, 1:], self.prox.s_min)
+        self.center, self.radius = ospace_of(self.pos[:, 1:], cfg.proxemics.s_min)
         self.lane = np.arange(len(self.pos))
         b = len(self.lane)
         self.t = 0
         self.hold = np.zeros(b, dtype=np.int64)
         self.done = np.zeros(b, dtype=bool)
         self.success = np.zeros(b, dtype=bool)
-        self.field = field_at(self.pos, neighbours_of(self.pos), self.prox,
+        self.field = field_at(self.pos, neighbours_of(self.pos), cfg.proxemics,
                               self.center, self.radius)
 
     def observe(self) -> np.ndarray:
         """The observations (B, L) of the held lanes, encoded on each call."""
-        return encode_observation(self.pos, self.vel, self.heading, self.world)
+        return encode_observation(self.pos, self.vel, self.heading, self.cfg.world)
 
     def keep(self, mask: np.ndarray) -> None:
         """Hold only the lanes where `mask` (B,) is true, in their order."""
@@ -149,8 +145,9 @@ class ApproachEnv:
         if not self.done.size or self.done.any():
             raise EpisodeDoneError("step() called on finished or never-reset "
                                    "episodes; call reset() or keep() the running ones")
-        world = self.world
-        weights = self.episode.weights
+        cfg = self.cfg
+        world, prox, episode, weights = (cfg.world, cfg.proxemics, cfg.episode,
+                                         cfg.reward_weights)
         dt = world.dt
         act = np.clip(actions, -1.0, 1.0)
         pos, vel, heading = self.pos, self.vel, self.heading
@@ -165,7 +162,7 @@ class ApproachEnv:
         f = self.field
         accel[:, 1:], turn[:, 1:] = sha_commands(
             f.combined[:, 1:], f.d_e[:, 1:], f.d_c[:, 1:], heading[:, 1:],
-            world, self.sha_gains)
+            world, cfg.sha_controller)
 
         # (2) integrate everyone; (3) the o-space follows the group. Index 0
         # of `center` and `radius` is the pre-tick o-space, 1 the new one.
@@ -173,7 +170,7 @@ class ApproachEnv:
         center = np.empty((2, *self.center.shape))
         radius = np.empty((2, *self.radius.shape))
         center[0], radius[0] = self.center, self.radius
-        center[1], radius[1] = ospace_of(new_pos[:, 1:], self.prox.s_min)
+        center[1], radius[1] = ospace_of(new_pos[:, 1:], prox.s_min)
 
         # (4) one field evaluation for the tick, at the midpoints that
         # `group_forming_increment` hands over against the pre-tick agents
@@ -190,7 +187,7 @@ class ApproachEnv:
         def field_at_midpoints(mid: np.ndarray) -> np.ndarray:
             nonlocal both
             at[2] = mid
-            both = field_at(at[2:0:-1], neighbours, self.prox, center, radius)
+            both = field_at(at[2:0:-1], neighbours, prox, center, radius)
             return both.combined[0]
 
         work = group_forming_increment(field_at_midpoints, pos, new_pos)
@@ -205,11 +202,11 @@ class ApproachEnv:
         self.field = _take(both, 1)
         self.t += 1
         on_ring = success_instant(new_pos[:, 0], new_heading[:, 0], center[1],
-                                  radius[1], self.episode.success_band,
-                                  self.episode.success_angle)
+                                  radius[1], episode.success_band,
+                                  episode.success_angle)
         self.hold = np.where(on_ring, self.hold + 1, 0)
-        self.success = self.hold >= self.episode.success_hold
-        self.done = self.success | (self.t >= self.episode.max_steps)
+        self.success = self.hold >= episode.success_hold
+        self.done = self.success | (self.t >= episode.max_steps)
 
         r4 = success_bonus(self.success, weights.success_bonus)
         breakdown = RewardBreakdown(r1, r2, r3, r4, r5)

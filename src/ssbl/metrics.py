@@ -43,8 +43,11 @@ def episode_stats(initial_agents: list[dict], records: list[dict],
         raise ValueError("episode has no step records")
     pos = np.array([[(a["x"], a["y"]) for a in agents] for agents in
                     [initial_agents] + [rec["agents"] for rec in records]])
-    return _stats(pos, [rec["reward"]["total"] for rec in records],
-                  bool(records[-1]["success"]), prox)
+    totals = [rec["reward"]["total"] for rec in records]
+    success = records[-1]["success"]
+    if type(success) is not bool or not set(map(type, totals)) <= {int, float}:
+        raise TypeError("success must be true or false and each reward total a number")
+    return _stats(pos, totals, success, prox)
 
 
 def _stats(pos: np.ndarray, totals: list[float], success: bool,

@@ -101,9 +101,9 @@ class PolicyParams:
 
     def __post_init__(self):
         sizes = self.layer_sizes
-        if len(sizes) < 2 or min(sizes) < 1:
+        if len(sizes) < 2 or not all(type(n) is int and n >= 1 for n in sizes):
             raise ValueError(f"layer sizes {sizes} need an input and an output "
-                             f"layer, each at least 1 wide")
+                             f"layer, each an integer at least 1 wide")
         if sizes[-1] != 2:
             raise ValueError(f"output width {sizes[-1]} is not 2 (a_fwd, a_turn)")
         expected = param_count(sizes)
@@ -287,7 +287,7 @@ def make_policy(spec: str, cfg: FullConfig | None = None):
         return RandomPolicy()
     params, meta = load_checkpoint(spec)
     cfg = cfg if cfg is not None else default_config()
-    n_shas = cfg.episode.spawn.n_shas
+    n_shas = cfg.spawn.n_shas
     width = params.layer_sizes[0]
     if width != observation_length(n_shas):
         raise ConfigError(

@@ -44,7 +44,8 @@ class GradientCheckError(RuntimeError):
 
 
 def make_env(cfg: FullConfig) -> ApproachEnv:
-    return ApproachEnv(cfg.world, cfg.proxemics, cfg.episode, cfg.sha_gains)
+    """The environment of the whole configuration `cfg`."""
+    return ApproachEnv(cfg)
 
 
 # Largest CEM draw, population × parameters (368 k at the default config), and
@@ -52,16 +53,16 @@ def make_env(cfg: FullConfig) -> ApproachEnv:
 MAX_CEM_DRAW = 2 ** 24
 
 
-def check_run_size(cfg: TrainConfig, full_cfg: FullConfig) -> None:
+def check_run_size(cfg: FullConfig) -> None:
     """ConfigError for a CEM run that would draw more than MAX_CEM_DRAW values,
     or a PPO run whose policy net has more parameters than that."""
-    n_obs = observation_length(full_cfg.episode.spawn.n_shas)
-    n_params = param_count((n_obs, *cfg.hidden_sizes, 2))
-    if cfg.algo == "cem" and cfg.population * n_params > MAX_CEM_DRAW:
+    t = cfg.train
+    n_params = param_count((observation_length(cfg.spawn.n_shas), *t.hidden_sizes, 2))
+    if t.algo == "cem" and t.population * n_params > MAX_CEM_DRAW:
         raise ConfigError(f"train.population times the network's parameters is "
-                          f"{cfg.population * n_params} values per CEM draw, "
+                          f"{t.population * n_params} values per CEM draw, "
                           f"above {MAX_CEM_DRAW}")
-    if cfg.algo == "ppo" and n_params > MAX_CEM_DRAW:
+    if t.algo == "ppo" and n_params > MAX_CEM_DRAW:
         raise ConfigError(f"train.hidden_sizes give the PPO policy net {n_params} "
                           f"parameters, above {MAX_CEM_DRAW}")
 
@@ -272,7 +273,7 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     """
     t_start = time.perf_counter()
     env = make_env(full_cfg)
-    n_obs = observation_length(full_cfg.episode.spawn.n_shas)
+    n_obs = observation_length(full_cfg.spawn.n_shas)
     layer_sizes = (n_obs, *cfg.hidden_sizes, 2)
     n_params = param_count(layer_sizes)
 
@@ -590,7 +591,7 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
 
     t_start = time.perf_counter()
     env = make_env(full_cfg)
-    n_obs = observation_length(full_cfg.episode.spawn.n_shas)
+    n_obs = observation_length(full_cfg.spawn.n_shas)
     layer_sizes = (n_obs, *cfg.hidden_sizes, 2)
     value_sizes = (n_obs, *cfg.hidden_sizes, 1)
 

@@ -194,7 +194,7 @@ def test_c06_dyad_stability_100_seeds():
     settled = np.zeros(100, dtype=bool)
     for _ in range(200):
         new_pos, vel, heading = group_tick(pos, vel, heading, np.ones(2, bool), prox,
-                                           world, cfg.sha_gains)
+                                           world, cfg.sha_controller)
         step = new_pos - pos
         settled |= np.hypot(step[..., 0], step[..., 1]).max(axis=1) < 1e-3
         pos = new_pos

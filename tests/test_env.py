@@ -37,9 +37,9 @@ def isolated_env(weights=None) -> ApproachEnv:
     """Robot spawned far outside every proxemic zone of the group."""
     cfg = default_config()
     cfg.world = WorldConfig(floor_side=30.0)
-    cfg.episode.spawn = GroupSpawnSpec(robot_min_dist=12.0, center_region=1.0)
+    cfg.spawn = GroupSpawnSpec(robot_min_dist=12.0, center_region=1.0)
     if weights is not None:
-        cfg.episode.weights = weights
+        cfg.reward_weights = weights
     return make_env(cfg.validate())
 
 
@@ -70,8 +70,8 @@ def test_reset_respects_min_robot_distance():
     env.reset(range(20))
     for lane in range(20):
         agents = lane_agents(env, lane)
-        centroid = estimate_ospace(agents[1:], env.prox.s_min).center
-        assert (agents[0].position - centroid).norm() >= env.episode.spawn.robot_min_dist
+        centroid = estimate_ospace(agents[1:], env.cfg.proxemics.s_min).center
+        assert (agents[0].position - centroid).norm() >= env.cfg.spawn.robot_min_dist
 
 
 # -- step ------------------------------------------------------------------------
@@ -150,11 +150,11 @@ def test_r1_and_r5_are_the_field_work_at_the_handed_midpoints():
         _, done, bd = env.step(rng.uniform(-1.0, 1.0, (2, 2)))
         for b, (agents, ospace) in enumerate(zip(before, ospaces)):
             work = [group_forming_increment(
-                lambda mid: point_field(mid, agents[:i] + agents[i + 1:], env.prox,
+                lambda mid: point_field(mid, agents[:i] + agents[i + 1:], env.cfg.proxemics,
                                         ospace).combined[0],
                 np.array(a.position), np.array(p.position))
                 for i, (a, p) in enumerate(zip(agents, lane_agents(env, b)))]
-            assert bd.r1[b] == env.episode.weights.sign_r1 * work[0]
+            assert bd.r1[b] == env.cfg.reward_weights.sign_r1 * work[0]
             assert bd.r5[b] == -np.sum(work[1:])
         assert not done.any()
 
@@ -163,7 +163,7 @@ def test_actions_clamped_on_entry():
     env = fresh_env()
     env.reset([9])
     env.step(act(5.0, -7.0))  # must not violate integrator preconditions
-    assert robot(env).speed() <= env.world.v_max
+    assert robot(env).speed() <= env.cfg.world.v_max
 
 
 # -- success --------------------------------------------------------------------
@@ -197,7 +197,7 @@ def _move_robot(env, pos, vel=None, heading=None):
         env.vel[0, 0] = vel
     if heading is not None:
         env.heading[0, 0] = heading
-    env.field = field_at(env.pos, neighbours_of(env.pos), env.prox,
+    env.field = field_at(env.pos, neighbours_of(env.pos), env.cfg.proxemics,
                          env.center, env.radius)
 
 
@@ -218,7 +218,7 @@ def test_success_requires_consecutive_hold():
         steps += 1
     assert env.success[0]
     assert steps == 3
-    assert bd.r4[0] == env.episode.weights.success_bonus
+    assert bd.r4[0] == env.cfg.reward_weights.success_bonus
 
 
 def test_hold_counter_resets_on_bad_step():
@@ -334,12 +334,12 @@ def test_r2_bounded_and_r3_exact_over_episode():
     done = False
     while not done:
         _, (done,), bd = env.step(act(*rng.uniform(-1.0, 1.0, 2)))
-        assert bd.r2[0] in (0.0, env.world.dt)
+        assert bd.r2[0] in (0.0, env.cfg.world.dt)
         r2_sum += bd.r2[0]
         r3_sum += bd.r3[0]
         steps += 1
-    assert 0.0 <= r2_sum <= steps * env.world.dt + 1e-12
-    assert abs(r3_sum - (-steps * env.world.dt)) < 1e-9
+    assert 0.0 <= r2_sum <= steps * env.cfg.world.dt + 1e-12
+    assert abs(r3_sum - (-steps * env.cfg.world.dt)) < 1e-9
 
 
 def test_episode_config_validation():

@@ -39,8 +39,8 @@ def write_tiny_train_config(path: Path) -> Path:
 def write_isolated_config(path: Path) -> Path:
     cfg = default_config()
     cfg.world.floor_side = 30.0
-    cfg.episode.spawn.robot_min_dist = 12.0
-    cfg.episode.spawn.center_region = 1.0
+    cfg.spawn.robot_min_dist = 12.0
+    cfg.spawn.center_region = 1.0
     cfg.episode.max_steps = 50
     save_config(cfg, path)
     return path
@@ -51,7 +51,7 @@ def write_isolated_config(path: Path) -> Path:
 
 def test_config_roundtrip(tmp_path):
     cfg = default_config()
-    cfg.episode.weights.w5 = 0.7
+    cfg.reward_weights.w5 = 0.7
     cfg.train.hidden_sizes = (16, 8)
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
@@ -84,13 +84,19 @@ def test_config_rejects_mistyped_values(doc):
 
 
 def test_config_takes_int_for_float():
-    assert config_from_dict({"world": {"dt": 1}}).world.dt == 1
+    """An integer given for a float key is stored as that float, so both
+    spellings hash alike; one beyond float range is refused, naming the key."""
+    cfg = config_from_dict({"world": {"dt": 1}})
+    assert type(cfg.world.dt) is float and cfg.world.dt == 1.0
+    assert config_hash(cfg) == config_hash(config_from_dict({"world": {"dt": 1.0}}))
+    with pytest.raises(ConfigError, match=r"episode\.success_band must be a finite"):
+        config_from_dict({"episode": {"success_band": 10**400}})
 
 
 def test_config_hash_changes_with_content():
     a = default_config()
     b = default_config()
-    b.episode.weights.w1 = 2.0
+    b.reward_weights.w1 = 2.0
     assert config_hash(a) != config_hash(b)
 
 
@@ -181,6 +187,20 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", [b'{"world": {"dt": 1' + b"0" * 5000 + b"}}",
+                                  b'{"world": {"dt": \xff}}'],
+                         ids=["int-beyond-4300-digits", "not-utf8"])
+def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    out = tmp_path / "eval.json"
+    rc = main(["eval", "--policy", "sffm", "--config", str(bad),
+               "--episodes", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"error: config {bad} is not valid JSON" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"episode": {"max_steps": "500"}},
     {"world": {"dt": "0.1"}},
@@ -194,10 +214,11 @@ def test_simulate_bad_config_exits_2(tmp_path):
     {"train": {"eval_episodes": 0}},
     {"train": {"rollout_episodes": 0}},
     {"train": {"minibatch": 0}},
+    {"episode": {"success_band": 10**400}},
 ], ids=["episode-str", "world-str", "episode-list", "train-list",
         "hidden-zero", "world-nan", "episode-inf", "proxemics-minus-inf",
         "iterations-negative", "eval-episodes-zero", "rollout-episodes-zero",
-        "minibatch-zero"])
+        "minibatch-zero", "episode-int-beyond-float"])
 def test_bad_config_value_exits_2(tmp_path, capsys, doc):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -456,27 +477,27 @@ def test_checkpoint_not_an_object_exits_2(tmp_path, capsys):
 def write_zero_checkpoint(path: Path, layer_sizes) -> Path:
     """Zero weights saved as a checkpoint file, bypassing PolicyParams's
     own checks so that invalid layer sizes reach the loader."""
-    flat = np.zeros(param_count(layer_sizes), "<f4")
+    flat = np.zeros(int(param_count(layer_sizes)), "<f4")
     path.write_text(json.dumps({
         "layer_sizes": list(layer_sizes), "activation": "tanh",
         "params_b64": base64.b64encode(flat.tobytes()).decode("ascii")}))
     return path
 
 
-# (layer sizes, error) -- 22 inputs is the observation of n_shas=2
-_BAD_CHECKPOINTS = [((22, 4, 2), "input width 22"),
-                    ((22, 4, 1), "output width 1"),
-                    ((22, 4, 3), "output width 3")]
+# (layer sizes, error, test id suffix) -- 22 inputs is the observation of n_shas=2
+_BAD_CHECKPOINTS = [((22, 4, 2), "input width 22", ""),
+                    ((22, 4, 1), "output width 1", "-output1"),
+                    ((22, 4, 3), "output width 3", "-output3"),
+                    ((22.0, 4.0, 2.0), "each an integer", "-float-sizes")]
 
 
 @pytest.mark.parametrize("command,layer_sizes,message", [
-    pytest.param(command, sizes, message,
-                 id=command if sizes[-1] == 2 else f"{command}-output{sizes[-1]}")
-    for command in sorted(_POLICY_ARGS) for sizes, message in _BAD_CHECKPOINTS])
+    pytest.param(command, sizes, message, id=command + suffix)
+    for command in sorted(_POLICY_ARGS) for sizes, message, suffix in _BAD_CHECKPOINTS])
 def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command,
                                                  layer_sizes, message):
     cfg = default_config()
-    cfg.episode.spawn.n_shas = 3
+    cfg.spawn.n_shas = 3
     cfg_path = tmp_path / "three_shas.json"
     save_config(cfg, cfg_path)
     ckpt = write_zero_checkpoint(tmp_path / "ckpt.json", layer_sizes)
@@ -604,7 +625,10 @@ def test_refused_trajectory_leaves_no_file(tmp_path, value, where):
     (lambda rec: rec["agents"].pop(), ValueError),    # fewer agents than the header
     (lambda rec: rec["agents"][1].pop("x"), KeyError),
     (lambda rec: rec["reward"].update(total="0.5"), TypeError),
-], ids=["fewer-agents", "agent-without-x", "string-total"])
+    (lambda rec: rec["reward"].update(total=True), TypeError),
+    (lambda rec: rec.update(success="false"), TypeError),   # on the last record
+], ids=["fewer-agents", "agent-without-x", "string-total", "bool-total",
+        "string-success"])
 def test_malformed_records_are_format_errors_naming_the_file(tmp_path, edit, cause):
     path = tmp_path / "episode_000.jsonl"
     write_trajectory(path, "x", [0, 0], small_track(), False)

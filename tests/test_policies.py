@@ -91,6 +91,9 @@ def test_param_count_validation():
     with pytest.raises(ValueError):
         PolicyParams((4, 3, 2), np.full(param_count((4, 3, 2)), np.nan,
                                         np.float32))
+    for sizes in ((4.0, 3.0, 2.0), (4, True, 2)):   # a JSON float or bool size
+        with pytest.raises(ValueError, match="each an integer"):
+            PolicyParams(sizes, np.zeros(int(param_count(sizes)), np.float32))
 
 
 def test_checkpoint_roundtrip_is_bitwise(tmp_path):
@@ -226,7 +229,7 @@ def test_make_policy_dispatch(tmp_path, caplog):
     assert len(caplog.records) == 1
     assert "0123456789abcdef" in caplog.text
     make_policy(str(path))           # checked against the default config
-    cfg.episode.spawn.n_shas = 3
+    cfg.spawn.n_shas = 3
     with pytest.raises(ConfigError, match="input width 22"):
         make_policy(str(path), cfg)
     with pytest.raises(OSError):
