@@ -2,9 +2,9 @@
 
 Subcommands: simulate | train | eval | compare | features-check.
 Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
-(a negative --seed, an oversized group, CEM draw or PPO run, an unplaceable
-spawn, a run driven to a non-finite state and a NaN or infinity bound for an
-output included).
+(a negative --seed, an unreadable config or checkpoint, an oversized group,
+CEM draw or PPO run, an unplaceable spawn, a run driven to a non-finite state
+and a NaN or infinity bound for an output included).
 Every command steps all its episodes of one policy as one batch in this
 process.
 """
@@ -12,7 +12,6 @@ process.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -37,8 +36,7 @@ EXIT_CONFIG = 2
 
 
 def _load_cfg(args) -> FullConfig:
-    cfg = load_config(args.config) if args.config else default_config()
-    return cfg.validate()
+    return load_config(args.config) if args.config else default_config()
 
 
 def _check_episodes(n: int) -> None:
@@ -228,8 +226,7 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
-    except (ConfigError, SpawnError, SimulationFault, OSError,
-            json.JSONDecodeError) as e:
+    except (ConfigError, SpawnError, SimulationFault, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -228,17 +228,24 @@ def config_to_dict(cfg: FullConfig) -> dict:
             for name, section in dataclasses.asdict(cfg).items()}
 
 
-def load_config(path: str | Path) -> FullConfig:
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the file `path`, a `what` ("config", "checkpoint"):
+    the one reader of JSON from outside. A file that cannot be read or parsed,
+    or holds no JSON object, is a ConfigError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            doc = json.load(fh)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except ValueError as e:   # bad JSON or UTF-8, or an integer json cannot convert
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
-    return config_from_dict(data)
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+    except (ValueError, RecursionError) as e:   # JSON, UTF-8, int-string limit, depth
+        raise ConfigError(f"{what} {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return doc
+
+
+def load_config(path: str | Path) -> FullConfig:
+    return config_from_dict(read_json(path, "config"))
 
 
 def dump_json(doc, path: str | Path | None = None) -> str:

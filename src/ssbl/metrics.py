@@ -133,7 +133,6 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
     scale with the force-field baseline and the random policy on the same
     seeds, and write report.json plus a per-episode CSV."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     env = make_env(cfg)
     prox = cfg.proxemics
     seeds = [[int(master_seed), i] for i in range(episodes)]
@@ -168,6 +167,7 @@ def run_compare(policy_a: str, policy_b: str, episodes: int, cfg: FullConfig,
         episodes=episodes,
     )
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     dump_json(report.to_dict(), out_dir / "report.json")
 
     with open(out_dir / "compare.csv", "w", encoding="utf-8", newline="") as fh:

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, FullConfig, config_hash, default_config
+from .config import ConfigError, FullConfig, config_hash, default_config, read_json
 from .env import ApproachEnv, observation_length
 from .groups import DEFAULT_GAINS, ShaGains, field_turn
 
@@ -97,7 +97,6 @@ class PolicyParams:
 
     layer_sizes: tuple[int, ...]
     flat_params: np.ndarray
-    activation: str = ACTIVATION
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -115,8 +114,6 @@ class PolicyParams:
             )
         if not np.all(np.isfinite(self.flat_params)):
             raise ValueError("flat_params contains non-finite values")
-        if self.activation != ACTIVATION:
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
 
 def zero_params(layer_sizes: tuple[int, ...]) -> PolicyParams:
@@ -131,7 +128,7 @@ def save_checkpoint(params: PolicyParams, path: str | Path,
                     config_hash: str = "", seed: int = 0) -> None:
     doc = {
         "layer_sizes": list(params.layer_sizes),
-        "activation": params.activation,
+        "activation": ACTIVATION,
         "config_hash": config_hash,
         "seed": int(seed),
         "params_b64": base64.b64encode(
@@ -143,15 +140,13 @@ def save_checkpoint(params: PolicyParams, path: str | Path,
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"invalid checkpoint {path}: not a JSON object")
+    doc = read_json(path, "checkpoint")
     try:
+        if doc.get("activation", ACTIVATION) != ACTIVATION:
+            raise ValueError(f"activation {doc['activation']!r} is not {ACTIVATION!r}")
         raw = base64.b64decode(doc["params_b64"])
         flat = np.frombuffer(raw, dtype="<f4").copy()
-        params = PolicyParams(tuple(doc["layer_sizes"]), flat,
-                              activation=doc.get("activation", ACTIVATION))
+        params = PolicyParams(tuple(doc["layer_sizes"]), flat)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"invalid checkpoint {path}: {e}") from e
     meta = {"config_hash": doc.get("config_hash", ""), "seed": doc.get("seed", 0)}

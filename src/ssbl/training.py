@@ -15,6 +15,7 @@ and exploration never share randomness:
   [master, 10]                      CEM parameter sampling
   [master, 20]                      PPO network initialization
   [seed, 99]                        PPO's gradient check (seed = master)
+  [seed, episode]                   `simulate`, `eval`, `compare` episodes (--seed)
 """
 
 from __future__ import annotations
@@ -90,8 +91,9 @@ class RolloutResult:
     track: dict | None = None
 
     def observations(self, world) -> np.ndarray:
-        """The observations (steps, L) the policy acted on."""
-        return encode_observation(*(self.track[k][:-1] for k in STATES), world)
+        """The observations (steps + 1, L) of the states the episode passed
+        through: the ones the policy acted on, then the one it ended in."""
+        return encode_observation(*(self.track[k] for k in STATES), world)
 
 
 def _per_lane(rows, counts) -> list[tuple]:
@@ -248,7 +250,7 @@ def distill_baseline(layer_sizes, full_cfg: FullConfig,
     results = rollout(make_env(full_cfg), SffmPolicy(),
                       [[master_seed, 6, i] for i in range(DISTILL_EPISODES)],
                       record=True)
-    X = np.concatenate([r.observations(full_cfg.world) for r in results]) * OBS_SCALE
+    X = np.concatenate([r.observations(full_cfg.world)[:-1] for r in results]) * OBS_SCALE
     Y = np.concatenate([r.track["action"] for r in results])
 
     rng = np.random.default_rng([master_seed, 7])
@@ -615,17 +617,15 @@ def train_ppo(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
                           [[cfg.master_seed, 3, it, ep] for ep in episodes],
                           record=True)
         ep_returns = [res.ret for res in results]
-        obs_b = np.concatenate([res.observations(full_cfg.world) for res in results])
+        obs = [res.observations(full_cfg.world) for res in results]
+        obs_b = np.concatenate([o[:-1] for o in obs])
         act_b = np.concatenate([res.track["action"] for res in results])
         x_b = obs_b * OBS_SCALE
         mean, _ = mlp_forward(flat, layer_sizes, x_b)
         logp_b = gaussian_logp(act_b, mean, log_std)
         # values of every visited state, then of the states the episodes ended in
-        obs_end = encode_observation(
-            *(np.stack([res.track[k][-1] for res in results]) for k in STATES),
-            full_cfg.world)
         v, _ = mlp_forward(vf.flat, value_sizes,
-                           np.concatenate([obs_b, obs_end]) * OBS_SCALE,
+                           np.concatenate([obs_b, *(o[-1:] for o in obs)]) * OBS_SCALE,
                            squash_output=False)
         n = obs_b.shape[0]
         ends = np.cumsum([res.steps for res in results])[:-1]

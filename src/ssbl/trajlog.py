@@ -28,8 +28,8 @@ import numpy as np
 from .config import ConfigError
 
 
-class TrajectoryFormatError(ValueError):
-    """Malformed trajectory file; the message carries the line number."""
+class TrajectoryFormatError(ConfigError):
+    """Malformed trajectory file; the message names the file (and line)."""
 
 
 REWARD_KEYS = ("r1", "r2", "r3", "r4", "r5", "total")
@@ -75,33 +75,36 @@ def write_trajectory(path: str | Path, config_hash: str, seed,
 
 def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
     """Parse a trajectory file into (header, step records). The header is
-    the first non-blank line; every line must be a JSON object."""
+    the first non-blank line; every line must be a JSON object, else a
+    TrajectoryFormatError names `file:line` (the file alone for non-UTF-8)."""
     records = []
     header = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: invalid JSON: {e}") from e
-            if not isinstance(obj, dict):
-                raise TrajectoryFormatError(
-                    f"{path}:{lineno}: not a JSON object")
-            if header is None:
-                if "config_hash" not in obj or "agents" not in obj:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as e:   # as in config.read_json
                     raise TrajectoryFormatError(
-                        f"{path}:{lineno}: missing header fields")
-                header = obj
-            else:
-                for key in ("t", "agents", "action", "reward", "done", "success"):
-                    if key not in obj:
+                        f"{path}:{lineno}: invalid JSON: {e}") from e
+                if not isinstance(obj, dict):
+                    raise TrajectoryFormatError(f"{path}:{lineno}: not a JSON object")
+                if header is None:
+                    if "config_hash" not in obj or "agents" not in obj:
                         raise TrajectoryFormatError(
-                            f"{path}:{lineno}: step record missing {key!r}")
-                records.append(obj)
+                            f"{path}:{lineno}: missing header fields")
+                    header = obj
+                else:
+                    for key in ("t", "agents", "action", "reward", "done", "success"):
+                        if key not in obj:
+                            raise TrajectoryFormatError(
+                                f"{path}:{lineno}: step record missing {key!r}")
+                    records.append(obj)
+    except UnicodeDecodeError as e:
+        raise TrajectoryFormatError(f"{path}: not UTF-8 text: {e}") from e
     if header is None:
         raise TrajectoryFormatError(f"{path}: empty trajectory file")
     return header, records

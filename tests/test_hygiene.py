@@ -1,6 +1,7 @@
 """Leftovers in src/ssbl, found from the syntax tree alone: an imported name
-that its module never uses, and a private module-level name that no module
-of the package references."""
+that its module never uses, a private module-level name that no module of
+the package references, and a JSON parse outside the one reader of outside
+input."""
 
 from __future__ import annotations
 
@@ -45,8 +46,7 @@ def private_definitions(tree: ast.Module) -> set[str]:
 
 def test_every_import_is_used():
     unused = {name: sorted(imported_names(tree) - referenced_names(tree))
-              for name, tree in MODULES.items()
-              if name != "__init__.py"}    # the package's imports are its API
+              for name, tree in MODULES.items()}
     assert {name: u for name, u in unused.items() if u} == {}
 
 
@@ -55,3 +55,23 @@ def test_every_private_name_is_referenced():
     unused = {name: sorted(private_definitions(tree) - used)
               for name, tree in MODULES.items()}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+def json_parses(tree: ast.Module) -> set[str]:
+    """The top-level functions and classes of a module that call `json.load`
+    or `json.loads`, or import either by name ("<module>" outside them)."""
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                 and isinstance(node.value, ast.Name) and node.value.id == "json")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and {a.name for a in node.names} & {"load", "loads"})):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_json_is_parsed_only_by_the_readers_of_outside_input():
+    parses = {(name, where) for name, tree in MODULES.items()
+              for where in json_parses(tree)}
+    assert parses == {("config.py", "read_json"), ("trajlog.py", "read_trajectory")}

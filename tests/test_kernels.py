@@ -307,8 +307,8 @@ def test_field_turn_matches_oracle(batch, g, limit):
 @st.composite
 def observed_states(draw):
     """States (B, N) as the env holds them, or a track's states (T, N) as
-    `RolloutResult.observations` passes them: views of all rows but the
-    last."""
+    `RolloutResult.observations` passes them, given as views of all rows
+    but the last of larger arrays."""
     rows = draw(st.sampled_from([1, 37]))
     shape = (rows + 1, draw(agents))
     pos = draw(values(shape + (2,), -0.01, SIDE + 0.01, AT_WALLS))

@@ -24,6 +24,11 @@ from ssbl.policies import (load_checkpoint, param_count, save_checkpoint,
 from ssbl.trajlog import (REWARD_KEYS, TrajectoryFormatError, read_trajectory,
                           write_trajectory)
 
+# JSON text that `json` cannot parse into a value: an integer of 5 001 digits,
+# beyond Python's int-string limit, and arrays nested beyond the recursion limit
+BEYOND_INT_LIMIT = b"1" + b"0" * 5000
+TOO_DEEP = b"[" * 100_000
+
 
 def write_tiny_train_config(path: Path) -> Path:
     cfg = default_config()
@@ -187,9 +192,10 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("text", [b'{"world": {"dt": 1' + b"0" * 5000 + b"}}",
-                                  b'{"world": {"dt": \xff}}'],
-                         ids=["int-beyond-4300-digits", "not-utf8"])
+@pytest.mark.parametrize("text", [b'{"world": {"dt": ' + BEYOND_INT_LIMIT + b"}}",
+                                  b'{"world": {"dt": \xff}}',
+                                  b'{"world": ' + TOO_DEEP],
+                         ids=["int-beyond-4300-digits", "not-utf8", "nested-too-deep"])
 def test_unreadable_config_exits_2_naming_the_file(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
     bad.write_bytes(text)
@@ -474,33 +480,48 @@ def test_checkpoint_not_an_object_exits_2(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
-def write_zero_checkpoint(path: Path, layer_sizes) -> Path:
+def write_zero_checkpoint(path: Path, layer_sizes, edit=None) -> Path:
     """Zero weights saved as a checkpoint file, bypassing PolicyParams's
-    own checks so that invalid layer sizes reach the loader."""
+    own checks so that invalid layer sizes reach the loader; `edit`, if
+    given, changes the file's bytes before they are written."""
     flat = np.zeros(int(param_count(layer_sizes)), "<f4")
-    path.write_text(json.dumps({
+    text = json.dumps({
         "layer_sizes": list(layer_sizes), "activation": "tanh",
-        "params_b64": base64.b64encode(flat.tobytes()).decode("ascii")}))
+        "params_b64": base64.b64encode(flat.tobytes()).decode("ascii")}).encode()
+    path.write_bytes(edit(text) if edit else text)
     return path
 
 
-# (layer sizes, error, test id suffix) -- 22 inputs is the observation of n_shas=2
-_BAD_CHECKPOINTS = [((22, 4, 2), "input width 22", ""),
-                    ((22, 4, 1), "output width 1", "-output1"),
-                    ((22, 4, 3), "output width 3", "-output3"),
-                    ((22.0, 4.0, 2.0), "each an integer", "-float-sizes")]
+# (layer sizes, edit of the file's bytes, error, test id suffix) -- 22 inputs is
+# the observation of n_shas=2, 28 that of n_shas=3; {ckpt} stands for the file
+_BAD_CHECKPOINTS = [
+    ((22, 4, 2), None, "input width 22", ""),
+    ((22, 4, 1), None, "output width 1", "-output1"),
+    ((22, 4, 3), None, "output width 3", "-output3"),
+    ((22.0, 4.0, 2.0), None, "each an integer", "-float-sizes"),
+    ((28, 4, 2),
+     lambda text: text.replace(b"{", b'{"seed": ' + BEYOND_INT_LIMIT + b", ", 1),
+     "error: checkpoint {ckpt} is not valid JSON", "-seed-beyond-4300-digits"),
+    ((28, 4, 2), lambda text: text.replace(b'"tanh"', b'"\xff"'),
+     "error: checkpoint {ckpt} is not valid JSON", "-not-utf8"),
+    ((28, 4, 2), lambda text: text.replace(b'"tanh"', b'"relu"'),
+     "error: invalid checkpoint {ckpt}: activation 'relu' is not 'tanh'",
+     "-activation-relu")]
 
 
-@pytest.mark.parametrize("command,layer_sizes,message", [
-    pytest.param(command, sizes, message, id=command + suffix)
-    for command in sorted(_POLICY_ARGS) for sizes, message, suffix in _BAD_CHECKPOINTS])
+@pytest.mark.parametrize("command,layer_sizes,edit,message", [
+    pytest.param(command, sizes, edit, message, id=command + suffix)
+    for command in sorted(_POLICY_ARGS)
+    for sizes, edit, message, suffix in _BAD_CHECKPOINTS])
 def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command,
-                                                 layer_sizes, message):
+                                                 layer_sizes, edit, message):
+    """A checkpoint that does not fit the run's config, or that the loader
+    refuses, exits 2 naming the fault, and nothing is written."""
     cfg = default_config()
     cfg.spawn.n_shas = 3
     cfg_path = tmp_path / "three_shas.json"
     save_config(cfg, cfg_path)
-    ckpt = write_zero_checkpoint(tmp_path / "ckpt.json", layer_sizes)
+    ckpt = write_zero_checkpoint(tmp_path / "ckpt.json", layer_sizes, edit)
     policy = {"simulate": ["--policy", str(ckpt)],
               "eval": ["--policy", str(ckpt)],
               "compare": ["--policy-a", "sffm", "--policy-b", str(ckpt)]}
@@ -508,9 +529,38 @@ def test_checkpoint_input_width_mismatch_exits_2(tmp_path, capsys, command,
     rc = main([command, *policy[command], "--config", str(cfg_path),
                "--episodes", "1", "--out", str(out)])
     assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not out.is_file()
-    assert not (out.is_dir() and any(out.iterdir()))
+    assert message.format(ckpt=ckpt) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    """The bytes of a valid checkpoint of the default config."""
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    save_checkpoint(zero_params((22, 4, 2)), path)
+    return path.read_bytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_damaged_checkpoint_runs_or_exits_2(checkpoint_bytes, tmp_path_factory,
+                                                data):
+    """A valid checkpoint truncated, with one byte flipped or with bytes
+    inserted: eval runs, or exits 2 with an error line, never a traceback."""
+    text = checkpoint_bytes
+    at = data.draw(st.integers(0, len(text) - 1), label="at")
+    damage = data.draw(st.sampled_from(["truncate", "flip", "insert"]), label="damage")
+    if damage == "truncate":
+        text = text[:at]
+    elif damage == "flip":
+        mask = data.draw(st.integers(1, 255), label="mask")
+        text = text[:at] + bytes([text[at] ^ mask]) + text[at + 1:]
+    else:
+        text = text[:at] + data.draw(st.binary(min_size=1, max_size=8),
+                                     label="inserted") + text[at:]
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    path.write_bytes(text)
+    assert_runs_or_exits_2(["eval", "--policy", str(path), "--episodes", "1"])
 
 
 # -- train CLI ----------------------------------------------------------------------
@@ -621,22 +671,33 @@ def test_refused_trajectory_leaves_no_file(tmp_path, value, where):
     assert not path.exists()
 
 
+def record_edit(edit):
+    """The line edit that parses a record, applies `edit` to it and writes
+    it back."""
+    def edit_line(line: bytes) -> bytes:
+        record = json.loads(line)
+        edit(record)
+        return json.dumps(record).encode()
+    return edit_line
+
+
 @pytest.mark.parametrize("edit,cause", [
-    (lambda rec: rec["agents"].pop(), ValueError),    # fewer agents than the header
-    (lambda rec: rec["agents"][1].pop("x"), KeyError),
-    (lambda rec: rec["reward"].update(total="0.5"), TypeError),
-    (lambda rec: rec["reward"].update(total=True), TypeError),
-    (lambda rec: rec.update(success="false"), TypeError),   # on the last record
+    (record_edit(lambda rec: rec["agents"].pop()), ValueError),   # fewer agents
+    (record_edit(lambda rec: rec["agents"][1].pop("x")), KeyError),
+    (record_edit(lambda rec: rec["reward"].update(total="0.5")), TypeError),
+    (record_edit(lambda rec: rec["reward"].update(total=True)), TypeError),
+    (record_edit(lambda rec: rec.update(success="false")), TypeError),   # last record
+    (lambda line: line.replace(b'"t":2', b'"t":' + BEYOND_INT_LIMIT), ValueError),
+    (lambda line: line.replace(b'"t":2', b'"t":\xff'), UnicodeDecodeError),
+    (lambda line: line.replace(b'"t":2', b'"t":' + TOO_DEEP), RecursionError),
 ], ids=["fewer-agents", "agent-without-x", "string-total", "bool-total",
-        "string-success"])
+        "string-success", "int-beyond-4300-digits", "not-utf8", "nested-too-deep"])
 def test_malformed_records_are_format_errors_naming_the_file(tmp_path, edit, cause):
     path = tmp_path / "episode_000.jsonl"
     write_trajectory(path, "x", [0, 0], small_track(), False)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[2])       # the second step record
-    edit(record)
-    lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+    lines = path.read_bytes().splitlines()
+    lines[2] = edit(lines[2])       # the second step record
+    path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(TrajectoryFormatError, match="episode_000.jsonl") as err:
         compute_metrics([path], ProxemicsConfig())
     assert type(err.value.__cause__) is cause

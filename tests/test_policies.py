@@ -232,5 +232,5 @@ def test_make_policy_dispatch(tmp_path, caplog):
     cfg.spawn.n_shas = 3
     with pytest.raises(ConfigError, match="input width 22"):
         make_policy(str(path), cfg)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match="cannot read checkpoint .*missing.json"):
         make_policy(str(tmp_path / "missing.json"), cfg)

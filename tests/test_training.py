@@ -298,7 +298,7 @@ def reference_distill(layer_sizes, cfg, master_seed):
     results = rollout(make_env(cfg), SffmPolicy(),
                       [[master_seed, 6, i] for i in range(training.DISTILL_EPISODES)],
                       record=True)
-    X = np.concatenate([r.observations(cfg.world) for r in results]) * OBS_SCALE
+    X = np.concatenate([r.observations(cfg.world)[:-1] for r in results]) * OBS_SCALE
     Y = np.concatenate([r.track["action"] for r in results])
     rng = np.random.default_rng([master_seed, 7])
     flat = _init_mlp(rng, layer_sizes)
