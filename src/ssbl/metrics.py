@@ -1,5 +1,7 @@
 """Objective social-appropriateness metrics over trajectory logs, and the
-paired baseline-vs-policy comparison."""
+paired baseline-vs-policy comparison. `episode_stats` is the one reduction of
+an episode, from the arrays `trajlog.read_trajectory` parses from a file or
+from a live rollout's track."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from .config import FullConfig, config_hash, dump_json
 from .forces import ospace_of
 from .geometry import ProxemicsConfig
 from .policies import RandomPolicy, SffmPolicy, make_policy
-from .trajlog import TrajectoryFormatError, read_trajectory
+from .trajlog import read_trajectory
 from .training import (evaluate_policy, make_env, mean_return,
                        relative_performance, rollout)
 
@@ -36,24 +38,12 @@ class SocialMetrics:
         return dataclasses.asdict(self)
 
 
-def episode_stats(initial_agents: list[dict], records: list[dict],
+def episode_stats(pos: np.ndarray, totals: list[float], success: bool,
                   prox: ProxemicsConfig) -> dict:
-    """Metrics of one episode from its header agents and step records."""
-    if not records:
-        raise ValueError("episode has no step records")
-    pos = np.array([[(a["x"], a["y"]) for a in agents] for agents in
-                    [initial_agents] + [rec["agents"] for rec in records]])
-    totals = [rec["reward"]["total"] for rec in records]
-    success = records[-1]["success"]
-    if type(success) is not bool or not set(map(type, totals)) <= {int, float}:
-        raise TypeError("success must be true or false and each reward total a number")
-    return _stats(pos, totals, success, prox)
-
-
-def _stats(pos: np.ndarray, totals: list[float], success: bool,
-           prox: ProxemicsConfig) -> dict:
     """Metrics of one episode from the positions of the states it passed
-    through (T + 1, N, 2) and its per-step reward totals."""
+    through (T + 1, N, 2), its per-step reward totals and whether it
+    succeeded: the one reduction of files (`compute_metrics`) and of live
+    rollouts (`live_stats`)."""
     step = np.diff(pos, axis=0)
     moved = np.hypot(step[..., 0], step[..., 1])           # (T, N)
     to_robot = pos[1:, 1:] - pos[1:, :1]
@@ -89,23 +79,17 @@ def aggregate_stats(stats: list[dict]) -> SocialMetrics:
 def compute_metrics(paths: list[str | Path],
                     prox: ProxemicsConfig) -> SocialMetrics:
     """Aggregate metrics over trajectory files written by `simulate`. A file
-    whose records do not hold the agents and rewards of one episode is a
-    TrajectoryFormatError naming it."""
-    stats = []
-    for path in paths:
-        header, records = read_trajectory(path)
-        try:
-            stats.append(episode_stats(header["agents"], records, prox))
-        except (KeyError, TypeError, ValueError) as e:
-            raise TrajectoryFormatError(
-                f"{path}: not the records of one episode: {e!r}") from e
-    return aggregate_stats(stats)
+    that does not hold one episode is a TrajectoryFormatError naming it
+    (`trajlog.read_trajectory`)."""
+    return aggregate_stats([episode_stats(*read_trajectory(path)[1:], prox)
+                            for path in paths])
 
 
 def live_stats(env, policy, seeds, prox: ProxemicsConfig) -> list[dict]:
     """episode_stats per seed of one recorded rollout of all seeds, from
     the same positions and rewards its trajectory files would hold."""
-    return [_stats(res.track["pos"], res.track["total"].tolist(), res.success, prox)
+    return [episode_stats(res.track["pos"], res.track["total"].tolist(),
+                          res.success, prox)
             for res in rollout(env, policy, seeds, record=True)]
 
 

@@ -285,10 +285,9 @@ def make_policy(spec: str, cfg: FullConfig | None = None):
     n_shas = cfg.spawn.n_shas
     width = params.layer_sizes[0]
     if width != observation_length(n_shas):
-        raise ConfigError(
-            f"checkpoint input width {width} does not match the "
-            f"{observation_length(n_shas)}-value observation of "
-            f"n_shas={n_shas}")
+        raise ConfigError(f"checkpoint {spec} input width {width} does not match "
+                          f"the {observation_length(n_shas)}-value observation "
+                          f"of n_shas={n_shas}")
     if meta["config_hash"] and meta["config_hash"] != config_hash(cfg):
         log.warning("checkpoint %s was trained under config %s, this run "
                     "uses %s", spec, meta["config_hash"], config_hash(cfg))

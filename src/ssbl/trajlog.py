@@ -14,13 +14,15 @@ one per-agent template writes the header's initial agents and every step's
 agents, the keys stand in record order, and every float is written by `%r`,
 which is `float.__repr__`, the text `json` writes for it. So no dict is
 built, and `json` encodes only the config hash and the seed. Floats
-round-trip exactly through JSON, so anything recomputed from a parsed file
-matches the in-memory run bit for bit.
+round-trip exactly through JSON, so the positions and rewards that
+`read_trajectory`, the one reader of the layout, parses from a file match
+the in-memory run bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,8 @@ class TrajectoryFormatError(ConfigError):
 
 
 REWARD_KEYS = ("r1", "r2", "r3", "r4", "r5", "total")
+_HEADER_KEYS = ("config_hash", "agents")
+_STEP_KEYS = ("t", "agents", "action", "reward", "done", "success")
 
 
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
@@ -73,38 +77,50 @@ def write_trajectory(path: str | Path, config_hash: str, seed,
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
-    """Parse a trajectory file into (header, step records). The header is
-    the first non-blank line; every line must be a JSON object, else a
-    TrajectoryFormatError names `file:line` (the file alone for non-UTF-8)."""
-    records = []
-    header = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as e:   # as in config.read_json
-                    raise TrajectoryFormatError(
-                        f"{path}:{lineno}: invalid JSON: {e}") from e
-                if not isinstance(obj, dict):
-                    raise TrajectoryFormatError(f"{path}:{lineno}: not a JSON object")
-                if header is None:
-                    if "config_hash" not in obj or "agents" not in obj:
-                        raise TrajectoryFormatError(
-                            f"{path}:{lineno}: missing header fields")
-                    header = obj
-                else:
-                    for key in ("t", "agents", "action", "reward", "done", "success"):
-                        if key not in obj:
-                            raise TrajectoryFormatError(
-                                f"{path}:{lineno}: step record missing {key!r}")
-                    records.append(obj)
-    except UnicodeDecodeError as e:
-        raise TrajectoryFormatError(f"{path}: not UTF-8 text: {e}") from e
-    if header is None:
-        raise TrajectoryFormatError(f"{path}: empty trajectory file")
-    return header, records
+def read_trajectory(path: str | Path) -> tuple[dict, np.ndarray, list, bool]:
+    """Parse a trajectory file into (header, pos, totals, success): the agent
+    positions (steps + 1, N, 2) of the header (the first non-blank line) and
+    of each record, the reward totals and the last record's success. What the
+    writer cannot write is a TrajectoryFormatError naming `file:line` (the
+    file alone if it has no step record): a line that is not UTF-8 JSON of an
+    object with every key, fewer than 3 agents or another count than the
+    header, an x, y or total that is a bool or not a finite number, a
+    success that is not a bool."""
+    header, pos, totals, success = None, [], [], None
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                obj = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as e:   # as in config.read_json
+                raise TrajectoryFormatError(f"{where}: invalid JSON: {e}") from e
+            if not isinstance(obj, dict):
+                raise TrajectoryFormatError(f"{where}: not a JSON object")
+            missing = {*(_STEP_KEYS if header else _HEADER_KEYS)} - obj.keys()
+            if missing:
+                raise TrajectoryFormatError(f"{where}: missing {sorted(missing)}")
+            try:    # xy: x and y of each agent in turn
+                xy = [v for a in obj["agents"] for v in (a["x"], a["y"])]
+                total = obj["reward"]["total"] if header else 0.0
+                finite = all(type(v) in (int, float) and math.isfinite(v)
+                             for v in [total, *xy])
+            except (KeyError, TypeError, OverflowError) as e:   # too large an int
+                raise TrajectoryFormatError(f"{where}: bad agent or reward: {e!r}") from e
+            if len(xy) < 6 or (pos and len(xy) != len(pos[0])):
+                raise TrajectoryFormatError(
+                    f"{where}: {len(xy) // 2} agents, not 3 or more as in the header")
+            if not finite:
+                raise TrajectoryFormatError(f"{where}: x, y or total not a finite number")
+            pos.append(xy)
+            if header is None:
+                header = obj
+            elif type(success := obj["success"]) is bool:
+                totals.append(total)
+            else:
+                raise TrajectoryFormatError(f"{where}: success is not true or false")
+    if not totals:
+        raise TrajectoryFormatError(f"{path}: no step record")
+    return header, np.array(pos, dtype=float).reshape(len(pos), -1, 2), totals, success

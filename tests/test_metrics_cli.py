@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +164,12 @@ def test_simulate_writes_episodes_and_manifest(tmp_path):
     assert manifest["episodes"] == 3
     assert manifest["policy"] == "sffm"
     assert len(manifest["runs"]) == 3
-    header, records = read_trajectory(out / "episode_000.jsonl")
+    header, pos, totals, success = read_trajectory(out / "episode_000.jsonl")
     assert header["config_hash"] == manifest["config_hash"]
-    assert records[0]["t"] == 1
+    n_agents = 1 + default_config().spawn.n_shas
+    assert pos.shape == (manifest["runs"][0]["steps"] + 1, n_agents, 2)
+    assert (len(totals), success) == (manifest["runs"][0]["steps"],
+                                      manifest["runs"][0]["success"])
 
 
 def test_simulate_reruns_byte_identical(tmp_path):
@@ -495,7 +499,7 @@ def write_zero_checkpoint(path: Path, layer_sizes, edit=None) -> Path:
 # (layer sizes, edit of the file's bytes, error, test id suffix) -- 22 inputs is
 # the observation of n_shas=2, 28 that of n_shas=3; {ckpt} stands for the file
 _BAD_CHECKPOINTS = [
-    ((22, 4, 2), None, "input width 22", ""),
+    ((22, 4, 2), None, "checkpoint {ckpt} input width 22", ""),
     ((22, 4, 1), None, "output width 1", "-output1"),
     ((22, 4, 3), None, "output width 3", "-output3"),
     ((22.0, 4.0, 2.0), None, "each an integer", "-float-sizes"),
@@ -541,13 +545,8 @@ def checkpoint_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_any_damaged_checkpoint_runs_or_exits_2(checkpoint_bytes, tmp_path_factory,
-                                                data):
-    """A valid checkpoint truncated, with one byte flipped or with bytes
-    inserted: eval runs, or exits 2 with an error line, never a traceback."""
-    text = checkpoint_bytes
+def damaged(data, text: bytes) -> bytes:
+    """`text` truncated, with one byte flipped or with bytes inserted."""
     at = data.draw(st.integers(0, len(text) - 1), label="at")
     damage = data.draw(st.sampled_from(["truncate", "flip", "insert"]), label="damage")
     if damage == "truncate":
@@ -558,8 +557,17 @@ def test_any_damaged_checkpoint_runs_or_exits_2(checkpoint_bytes, tmp_path_facto
     else:
         text = text[:at] + data.draw(st.binary(min_size=1, max_size=8),
                                      label="inserted") + text[at:]
+    return text
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_damaged_checkpoint_runs_or_exits_2(checkpoint_bytes, tmp_path_factory,
+                                                data):
+    """A valid checkpoint, damaged: eval runs, or exits 2 with an error line,
+    never a traceback."""
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
-    path.write_bytes(text)
+    path.write_bytes(damaged(data, checkpoint_bytes))
     assert_runs_or_exits_2(["eval", "--policy", str(path), "--episodes", "1"])
 
 
@@ -634,18 +642,18 @@ def test_aggregate_stats_is_the_mean_of_each_stat():
 
 def test_malformed_trajectory_reports_line_number(tmp_path):
     path = tmp_path / "broken.jsonl"
-    path.write_text('{"config_hash": "x", "seed": 0, "agents": []}\n'
-                    '{"t": 1, "agents": [], "action": [0, 0], '
-                    '"reward": {}, "done": false, "success": false}\n'
-                    "this is not json\n")
+    write_trajectory(path, "x", 0, small_track(), False)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + ["this is not json"]) + "\n")
     with pytest.raises(TrajectoryFormatError, match=":3:"):
         read_trajectory(path)
 
 
 def test_trajectory_missing_field_detected(tmp_path):
     path = tmp_path / "missing.jsonl"
-    path.write_text('{"config_hash": "x", "seed": 0, "agents": []}\n'
-                    '{"t": 1, "agents": []}\n')
+    write_trajectory(path, "x", 0, small_track(), False)
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + '\n{"t": 1, "agents": []}\n')
     with pytest.raises(TrajectoryFormatError, match=":2:"):
         read_trajectory(path)
 
@@ -681,26 +689,46 @@ def record_edit(edit):
     return edit_line
 
 
+# the cause is None where the reader refuses the parsed line itself
 @pytest.mark.parametrize("edit,cause", [
-    (record_edit(lambda rec: rec["agents"].pop()), ValueError),   # fewer agents
+    (record_edit(lambda rec: rec["agents"].pop()), type(None)),   # fewer agents
     (record_edit(lambda rec: rec["agents"][1].pop("x")), KeyError),
-    (record_edit(lambda rec: rec["reward"].update(total="0.5")), TypeError),
-    (record_edit(lambda rec: rec["reward"].update(total=True)), TypeError),
-    (record_edit(lambda rec: rec.update(success="false")), TypeError),   # last record
+    (record_edit(lambda rec: rec["reward"].update(total="0.5")), type(None)),
+    (record_edit(lambda rec: rec["reward"].update(total=True)), type(None)),
+    (record_edit(lambda rec: rec.update(success="false")), type(None)),   # last record
     (lambda line: line.replace(b'"t":2', b'"t":' + BEYOND_INT_LIMIT), ValueError),
     (lambda line: line.replace(b'"t":2', b'"t":\xff'), UnicodeDecodeError),
     (lambda line: line.replace(b'"t":2', b'"t":' + TOO_DEEP), RecursionError),
+    (record_edit(lambda rec: rec["agents"].clear()), type(None)),
+    (record_edit(lambda rec: rec.update(agents=rec["agents"][:1])), type(None)),
+    (record_edit(lambda rec: rec["reward"].update(total=math.nan)), type(None)),
+    (record_edit(lambda rec: rec["agents"][1].update(x=True)), type(None)),
 ], ids=["fewer-agents", "agent-without-x", "string-total", "bool-total",
-        "string-success", "int-beyond-4300-digits", "not-utf8", "nested-too-deep"])
+        "string-success", "int-beyond-4300-digits", "not-utf8", "nested-too-deep",
+        "no-agents", "one-agent", "nan-total", "bool-x"])
 def test_malformed_records_are_format_errors_naming_the_file(tmp_path, edit, cause):
     path = tmp_path / "episode_000.jsonl"
     write_trajectory(path, "x", [0, 0], small_track(), False)
     lines = path.read_bytes().splitlines()
     lines[2] = edit(lines[2])       # the second step record
     path.write_bytes(b"\n".join(lines) + b"\n")
-    with pytest.raises(TrajectoryFormatError, match="episode_000.jsonl") as err:
+    with pytest.raises(TrajectoryFormatError, match="episode_000.jsonl:3:") as err:
         compute_metrics([path], ProxemicsConfig())
     assert type(err.value.__cause__) is cause
+
+
+@pytest.mark.parametrize("n_agents", [0, 1, 2])
+def test_files_of_fewer_than_3_agents_are_format_errors(tmp_path, n_agents):
+    """Written whole, such files are refused at their header, with no
+    warning from the o-space of too few SHAs."""
+    path = tmp_path / "episode_000.jsonl"
+    track = {k: v[:, :n_agents] if k in ("pos", "vel", "heading") else v
+             for k, v in small_track().items()}
+    write_trajectory(path, "x", 0, track, True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TrajectoryFormatError, match="episode_000.jsonl:1:"):
+            compute_metrics([path], ProxemicsConfig())
 
 
 # floats whose JSON text is easy to get wrong, and any other finite float
@@ -744,7 +772,8 @@ def test_non_object_lines_are_format_errors(tmp_path):
     path.write_text("5\n")
     with pytest.raises(TrajectoryFormatError, match=":1: not a JSON object"):
         read_trajectory(path)
-    path.write_text('{"config_hash": "x", "seed": 0, "agents": []}\n7\n')
+    write_trajectory(path, "x", 0, small_track(), False)
+    path.write_text(path.read_text().splitlines()[0] + "\n7\n")
     with pytest.raises(TrajectoryFormatError, match=":2: not a JSON object"):
         read_trajectory(path)
 
@@ -754,9 +783,11 @@ def test_header_is_the_first_non_blank_line(tmp_path):
     assert main(["simulate", "--policy", "sffm", "--episodes", "1",
                  "--out", str(out)]) == 0
     path = out / "episode_000.jsonl"
-    header, records = read_trajectory(path)
+    header, pos, totals, success = read_trajectory(path)
     path.write_text("\n" + path.read_text())
-    assert read_trajectory(path) == (header, records)
+    again = read_trajectory(path)
+    assert (again[0], again[2], again[3]) == (header, totals, success)
+    assert np.array_equal(again[1], pos)
 
 
 @pytest.fixture(scope="module")
@@ -785,6 +816,20 @@ def test_corrupt_line_is_reported_with_its_number(trajectory_lines, tmp_path_fac
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TrajectoryFormatError, match=f":{i + 1}: "):
         read_trajectory(path)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_damaged_trajectory_is_scored_or_a_format_error(trajectory_lines,
+                                                            tmp_path_factory, data):
+    """A file written by simulate, damaged: compute_metrics returns, or
+    raises TrajectoryFormatError; no other exception and no RuntimeWarning."""
+    path = tmp_path_factory.mktemp("traj") / "episode_000.jsonl"
+    path.write_bytes(damaged(data, ("\n".join(trajectory_lines) + "\n").encode()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.suppress(TrajectoryFormatError):
+            compute_metrics([path], ProxemicsConfig())
 
 
 # -- compare ------------------------------------------------------------------------
@@ -852,9 +897,8 @@ def test_eval_per_episode_equals_simulate_files(tmp_path, policy):
     assert main(["simulate", "--policy", policy, "--episodes", "3",
                  "--seed", "6", "--out", str(runs)]) == 0
     prox = default_config().proxemics
-    from_files = [episode_stats(header["agents"], records, prox)
-                  for header, records in map(read_trajectory,
-                                             sorted(runs.glob("episode_*.jsonl")))]
+    from_files = [episode_stats(*read_trajectory(path)[1:], prox)
+                  for path in sorted(runs.glob("episode_*.jsonl"))]
     assert json.loads(out.read_text())["per_episode"] == from_files
 
 
