@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 property/assertion failure, 2 I/O or config error
 CEM draw or PPO run, an unplaceable spawn, a run driven to a non-finite state
 and a NaN or infinity bound for an output included).
 Every command steps all its episodes of one policy as one batch in this
-process.
+process. `simulate` writes its trajectory files while the batch steps
+(`trajlog.TrajectoryWriter`), so its memory is set by the batch and not by
+episode length, and a run that stops leaves no episode file and no manifest.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .geometry import SimulationFault
 from .groups import SpawnError
 from .metrics import aggregate_stats, live_stats, run_compare
 from .policies import make_policy, save_checkpoint
-from .trajlog import write_trajectory
+from .trajlog import TrajectoryWriter
 from .training import check_run_size, make_env, rollout, train
 
 log = logging.getLogger("ssbl")
@@ -52,24 +54,24 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     seeds = [[int(args.seed), i] for i in range(args.episodes)]
-    results = rollout(make_env(cfg), policy, seeds, record=True)
     cfg_hash = config_hash(cfg)
-    entries = []
-    for i, res in enumerate(results):
-        name = f"episode_{i:03d}.jsonl"
-        write_trajectory(out_dir / name, cfg_hash, res.seed, res.track, res.success)
-        entries.append({"file": name, "episode": i, "return": res.ret,
-                        "steps": res.steps, "success": res.success})
-
-    manifest = {
-        "config_hash": cfg_hash,
-        "master_seed": int(args.seed),
-        "policy": args.policy,
-        "episodes": args.episodes,
-        "runs": entries,
-    }
-    dump_json(manifest, out_dir / "manifest.json")
-    print(f"wrote {len(entries)} episodes to {out_dir}")
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)   # a stopped run leaves no manifest
+    # the files are written while the batch steps; the writer removes them
+    # if the run or the manifest fails
+    with TrajectoryWriter(out_dir, cfg_hash) as writer:
+        results = rollout(make_env(cfg), policy, seeds, record=writer)
+        manifest = {
+            "config_hash": cfg_hash,
+            "master_seed": int(args.seed),
+            "policy": args.policy,
+            "episodes": args.episodes,
+            "runs": [{"file": path.name, "episode": i, "return": res.ret,
+                      "steps": res.steps, "success": res.success}
+                     for i, (path, res) in enumerate(zip(writer.paths, results))],
+        }
+        dump_json(manifest, manifest_path)
+    print(f"wrote {len(results)} episodes to {out_dir}")
     return EXIT_OK
 
 

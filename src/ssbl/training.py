@@ -2,6 +2,11 @@
 hand-rolled backprop, plus rollout/evaluation utilities and the
 relative-performance normalization used in reports.
 
+`rollout` is the one loop that steps the environment. A recorded rollout
+hands each tick to a recorder: `record=True` keeps every episode's track
+(distillation, PPO, `metrics.live_stats`), and `trajlog.TrajectoryWriter`
+writes `simulate`'s files while the batch steps and keeps no track.
+
 Seed streams are derived from the master seed so that training, evaluation
 and exploration never share randomness:
 
@@ -32,6 +37,7 @@ import numpy as np
 from .config import ConfigError, FullConfig, TrainConfig
 from .env import ApproachEnv, encode_observation, observation_length
 from .fdcheck import central_diff_grad, max_rel_err
+from .geometry import SimulationFault
 from .policies import (OBS_SCALE, LaneNoise, NetworkPolicy, PolicyParams,
                        RandomPolicy, SffmPolicy, mlp_forward, param_count,
                        population_layers, run_layers, unpack_layers)
@@ -80,9 +86,10 @@ STEPS = ("action", *REWARD_KEYS)
 
 @dataclass(slots=True)
 class RolloutResult:
-    """One episode of a rollout. A recorded one also keeps its `track`, one
-    array per STATES and STEPS name, from which `trajlog.write_trajectory`
-    cuts its step records and `observations` its observations."""
+    """One episode of a rollout. One of a rollout with `record=True` also
+    keeps its `track`, one array per STATES and STEPS name, from which
+    `trajlog.write_trajectory` cuts its step records and `observations` its
+    observations."""
 
     seed: object
     ret: float
@@ -104,41 +111,75 @@ def _per_lane(rows, counts) -> list[tuple]:
     return list(zip(*(np.split(c[order], np.cumsum(counts)[:-1]) for c in columns)))
 
 
-def rollout(env: ApproachEnv, policy, seeds, record: bool = False
-            ) -> list[RolloutResult]:
-    """Run one episode per seed, all in one lockstep batch; with `record`,
-    also keep each episode's track. This is the one loop that steps the
-    environment. After a tick in which some episodes end and others go on,
-    the env drops the ended ones (`keep`), so every tick steps running
-    episodes only; `env.lane` says which seeds those are, for the policy
-    and for scattering the results back by seed index."""
+class _Tracks:
+    """The recorder of `rollout(..., record=True)`: it keeps every tick of
+    every lane, and `tracks` regroups them into one track per episode."""
+
+    def reset(self, env: ApproachEnv, seeds) -> None:
+        self.states = [(env.lane, env.pos, env.vel, env.heading)]
+        self.ticks = []
+
+    def step(self, env: ApproachEnv, action: np.ndarray, breakdown) -> None:
+        self.states.append((env.lane, env.pos, env.vel, env.heading))
+        self.ticks.append((env.lane, action, *(getattr(breakdown, k) for k in REWARD_KEYS)))
+
+    def tracks(self, steps: np.ndarray) -> list[dict]:
+        return [dict(zip(STATES + STEPS, s + a)) for s, a in
+                zip(_per_lane(self.states, steps + 1), _per_lane(self.ticks, steps))]
+
+
+def _fault(env: ApproachEnv, action, seeds) -> SimulationFault:
+    """The SimulationFault of a step that refused a non-finite state or
+    command, naming the tick it would have been (the `t` of its step
+    records) and the seeds of the lanes whose action or state is not finite;
+    of every held lane when none is (a command of the SHAs)."""
+    arrays = (np.asarray(action, dtype=float), env.pos, env.vel, env.heading)
+    bad = ~np.logical_and.reduce([np.isfinite(a).reshape(len(env.lane), -1).all(axis=1)
+                                  for a in arrays])
+    lanes = env.lane[bad] if bad.any() else env.lane
+    return SimulationFault(f"non-finite state or command at tick {env.t + 1} in "
+                           f"the episode(s) of seed {', '.join(str(seeds[b]) for b in lanes)}")
+
+
+def rollout(env: ApproachEnv, policy, seeds, record=False) -> list[RolloutResult]:
+    """Run one episode per seed, all in one lockstep batch. This is the one
+    loop that steps the environment. After a tick in which some episodes end
+    and others go on, the env drops the ended ones (`keep`), so every tick
+    steps running episodes only; `env.lane` says which seeds those are, for
+    the policy and for scattering the results back by seed index.
+
+    `record` hands each tick to a recorder: with True, each result keeps
+    its episode's track; any other recorder (`trajlog.TrajectoryWriter`)
+    has `reset(env, seeds)` called after the env's reset and `step(env,
+    action, breakdown)` after each step, before the ended episodes are
+    dropped. A SimulationFault names the tick and the seeds it came from."""
     seeds = list(seeds)
+    recorder = _Tracks() if record is True else record or None
     env.reset(seeds)
     policy.begin_episode(seeds)
+    if recorder is not None:
+        recorder.reset(env, seeds)
     n = len(seeds)
     ret = np.zeros(n)
     steps = np.zeros(n, dtype=np.int64)
     success = np.zeros(n, dtype=bool)
-    states = [(env.lane, env.pos, env.vel, env.heading)]
-    ticks = []
     while True:
         action = policy.act(env)
-        reward, done, bd = env.step(action)
+        try:
+            reward, done, bd = env.step(action)
+        except SimulationFault as e:
+            raise _fault(env, action, seeds) from e
         lane = env.lane
         ret[lane] += reward
-        if record:
-            states.append((lane, env.pos, env.vel, env.heading))
-            ticks.append((lane, action, *(getattr(bd, k) for k in REWARD_KEYS)))
+        if recorder is not None:
+            recorder.step(env, action, bd)
         if done.any():
             steps[lane[done]] = env.t
             success[lane[done]] = env.success[done]
             if done.all():
                 break
             env.keep(~done)
-    tracks = [None] * n
-    if record:
-        tracks = [dict(zip(STATES + STEPS, s + a)) for s, a in
-                  zip(_per_lane(states, steps + 1), _per_lane(ticks, steps))]
+    tracks = recorder.tracks(steps) if record is True else [None] * n
     return [RolloutResult(seed, float(ret[b]), int(steps[b]), bool(success[b]),
                           tracks[b])
             for b, seed in enumerate(seeds)]
@@ -293,8 +334,12 @@ def train_cem(cfg: TrainConfig, full_cfg: FullConfig) -> tuple[PolicyParams, Tra
     n_elite = max(1, int(cfg.population * cfg.elite_fraction))
 
     for t in range(cfg.iterations):
-        thetas = (mu + sigma * rng.standard_normal((cfg.population, n_params))
-                  ).astype(np.float32)
+        # mu + sigma * z with no temporary beside z: the same products and sums
+        z = rng.standard_normal((cfg.population, n_params))
+        z *= sigma
+        z += mu
+        thetas = z.astype(np.float32)
+        del z
         seeds = [[cfg.master_seed, 1, t, e] for e in range(cfg.episodes_per_eval)]
 
         # the whole population in one batch: candidate i drives lanes

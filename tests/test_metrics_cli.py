@@ -703,9 +703,10 @@ def record_edit(edit):
     (record_edit(lambda rec: rec.update(agents=rec["agents"][:1])), type(None)),
     (record_edit(lambda rec: rec["reward"].update(total=math.nan)), type(None)),
     (record_edit(lambda rec: rec["agents"][1].update(x=True)), type(None)),
+    (record_edit(lambda rec: rec["agents"][1].update(x=1.7e308)), type(None)),
 ], ids=["fewer-agents", "agent-without-x", "string-total", "bool-total",
         "string-success", "int-beyond-4300-digits", "not-utf8", "nested-too-deep",
-        "no-agents", "one-agent", "nan-total", "bool-x"])
+        "no-agents", "one-agent", "nan-total", "bool-x", "huge-x"])
 def test_malformed_records_are_format_errors_naming_the_file(tmp_path, edit, cause):
     path = tmp_path / "episode_000.jsonl"
     write_trajectory(path, "x", [0, 0], small_track(), False)
